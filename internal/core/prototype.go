@@ -212,7 +212,6 @@ func Build(cfg Config) (*Prototype, error) {
 		}
 		p.Group = sim.NewHierGroup(cfg.PCIe.MinCrossing(), icLatency, clusters, p.nodeShard)
 		p.Group.SetAdaptive(cfg.AdaptiveCap())
-		p.Group.SetAffinity(cfg.ShardAffinity)
 		p.Group.SetMinLatencyFunc(p.minCrossingOf)
 		p.net = p.Group
 		if cfg.SyncMetrics {

@@ -3,6 +3,7 @@ package fleetsrv
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -352,6 +353,52 @@ func TestCrossTenantCacheSharing(t *testing.T) {
 	a, b := reportOf(t, s, subA.CampaignID), reportOf(t, s, subB.CampaignID)
 	if !bytes.Equal(a, b) {
 		t.Fatal("cache-served campaign report differs from the executed one")
+	}
+}
+
+// TestRetainedOutcomesDropMetrics: the server keeps every campaign's
+// outcomes for its reports, which never carry a result's MetricsJSON
+// document, so it must not hold those documents in memory — executed or
+// cache-served. The cache keeps them on disk.
+func TestRetainedOutcomesDropMetrics(t *testing.T) {
+	spec := testSpec("metrics")
+	s, _ := testServer(t)
+	ran, err := s.submit(SubmitRequest{Tenant: "alice", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := s.register(RegisterRequest{})
+	for {
+		resp, err := s.leaseNext(LeaseRequest{WorkerID: w.WorkerID})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Job == nil {
+			break
+		}
+		res, _ := fakeExec(context.Background(), resp.Job.Params)
+		res.Attempts = 1
+		res.Metrics = json.RawMessage(`{"cycles":1}`)
+		if err := s.result(ResultRequest{
+			WorkerID: w.WorkerID, LeaseID: resp.Job.LeaseID, CampaignID: resp.Job.CampaignID,
+			Index: resp.Job.Index, Status: campaign.StatusRun, Result: res,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cached, err := s.submit(SubmitRequest{Tenant: "bob", Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{ran.CampaignID, cached.CampaignID} {
+		for i, out := range s.campaigns[id].outcomes {
+			if out.Result == nil || out.Result.Metrics != nil {
+				t.Fatalf("campaign %s job %d: retained result %+v, want one without metrics", id, i, out.Result)
+			}
+			if r, ok := s.Cache.Get(out.Result.Key); !ok || r.Metrics == nil {
+				t.Fatalf("campaign %s job %d: cache entry lost its metrics", id, i)
+			}
+		}
 	}
 }
 

@@ -198,6 +198,7 @@ func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campai
 		return
 	}
 	run.filled[out.Job.Index] = true
+	dropMetrics(out.Result)
 	run.outcomes[out.Job.Index] = out
 	run.remaining--
 	switch out.Status {
@@ -212,6 +213,17 @@ func (s *Server) fillLocked(run *campaignRun, out campaign.JobOutcome, ev campai
 		run.hub.Broadcast("complete", s.statusLocked(run))
 		close(run.finished)
 		s.logf("campaign %s complete: %d done, %d failed", run.id, run.done, run.failed)
+	}
+}
+
+// dropMetrics releases a retained result's MetricsJSON document. Reports
+// never carry it (Aggregate drops it) and the cache holds it on disk, so
+// keeping it for every campaign the server remembers only grows the heap.
+// Every Result the server retains is its own copy (decoded from a request
+// or a cache read), so clearing the field affects no other holder.
+func dropMetrics(r *campaign.Result) {
+	if r != nil {
+		r.Metrics = nil
 	}
 }
 
@@ -642,6 +654,7 @@ func (s *Server) Load() error {
 					s.logf("campaign %s job %d: cached result %s missing, re-queueing", pc.ID, rec.Index, rec.Key)
 					continue
 				}
+				dropMetrics(res)
 				out.Result = res
 			}
 			run.filled[rec.Index] = true

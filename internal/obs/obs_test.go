@@ -3,7 +3,9 @@ package obs
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -215,24 +217,44 @@ func TestServedParallelRunIsNonPerturbing(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	done := make(chan struct{})
+	// Clients stop through ctx: every request carries it, so cancelling
+	// aborts in-flight reads, and an error once ctx is done is a clean
+	// shutdown. The hammers are joined before any connection is closed, and
+	// they report through t.Errorf only (never t.Fatal off the test
+	// goroutine).
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	get := func(path string) (*http.Response, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			return nil, err
+		}
+		return http.DefaultClient.Do(req)
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				resp, err := http.Get(ts.URL + "/api/metrics")
+			for ctx.Err() == nil {
+				resp, err := get("/api/metrics")
 				if err != nil {
-					return // server shutting down
+					if ctx.Err() == nil {
+						t.Errorf("mid-run metrics request: %v", err)
+					}
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if ctx.Err() != nil {
+					return
+				}
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("mid-run metrics read: status %d, %v", resp.StatusCode, err)
+					return
 				}
 				var sn Snapshot
-				if err := json.Unmarshal([]byte(readAll(t, resp)), &sn); err != nil {
+				if err := json.Unmarshal(body, &sn); err != nil {
 					t.Errorf("mid-run metrics not valid JSON: %v", err)
 					return
 				}
@@ -242,19 +264,20 @@ func TestServedParallelRunIsNonPerturbing(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		resp, err := http.Get(ts.URL + "/api/events")
+		resp, err := get("/api/events")
 		if err != nil {
+			if ctx.Err() == nil {
+				t.Errorf("event stream request: %v", err)
+			}
 			return
 		}
 		defer resp.Body.Close()
 		r := bufio.NewReader(resp.Body)
 		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
 			if _, err := r.ReadString('\n'); err != nil {
+				if ctx.Err() == nil {
+					t.Errorf("event stream read: %v", err)
+				}
 				return
 			}
 		}
@@ -262,9 +285,9 @@ func TestServedParallelRunIsNonPerturbing(t *testing.T) {
 
 	got := runIS(p)
 	srv.Flush()
-	close(done)
-	ts.CloseClientConnections()
+	cancel()
 	wg.Wait()
+	ts.CloseClientConnections()
 
 	if !bytes.Equal(got, want) {
 		t.Errorf("MetricsJSON perturbed by the attached server (%d vs %d bytes)", len(got), len(want))

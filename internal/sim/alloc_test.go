@@ -13,7 +13,7 @@ import "testing"
 func TestScheduleStepZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
-	// Warm the pool and the heap/FIFO slices.
+	// Warm the pool and the free list.
 	for i := 0; i < 64; i++ {
 		eng.Schedule(Time(i%3), fn)
 	}
@@ -51,8 +51,9 @@ func TestScheduleArgStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestSameCycleFastPathZeroAlloc pins the same-cycle FIFO: events scheduled
-// for the current cycle bypass the heap entirely and must not allocate.
+// TestSameCycleFastPathZeroAlloc pins same-cycle scheduling: zero-delay
+// events append to the current cycle's wheel bucket, whose list is threaded
+// through the pool, and must not allocate.
 func TestSameCycleFastPathZeroAlloc(t *testing.T) {
 	eng := NewEngine()
 	fn := func() {}
@@ -87,6 +88,89 @@ func TestAfterFireZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("After+fire allocates %.2f/op at steady state, want 0", avg)
 	}
+}
+
+// TestFarEventZeroAlloc pins the far path: events wheelSize or more cycles
+// out go through the heap, whose slice is reused once warm.
+func TestFarEventZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		eng.Schedule(wheelSize+Time(i), fn)
+	}
+	eng.Run()
+	if avg := testing.AllocsPerRun(1000, func() {
+		eng.Schedule(wheelSize, fn)
+		eng.Schedule(1000, fn)
+		eng.Schedule(1, fn) // near event merged against the far ones
+		for eng.Step() {
+		}
+	}); avg != 0 {
+		t.Fatalf("far Schedule+Step allocates %.2f/op at steady state, want 0", avg)
+	}
+}
+
+// TestWheelWrapZeroAlloc pins scheduling across the wheel's wrap: with the
+// clock advancing 200 cycles per round, the target slot index wraps past
+// the end of the wheel every other round.
+func TestWheelWrapZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		eng.Schedule(200, fn)
+		eng.Schedule(wheelSize-1, fn)
+		eng.Run()
+	}
+	if avg := testing.AllocsPerRun(1000, func() {
+		eng.Schedule(200, fn)
+		eng.Schedule(wheelSize-1, fn)
+		eng.RunFor(200)
+	}); avg != 0 {
+		t.Fatalf("wrapping Schedule+Step allocates %.2f/op at steady state, want 0", avg)
+	}
+	eng.Run()
+}
+
+// TestSerialNetSendFlushZeroAlloc pins the delivery spool: with a steady
+// pipeline of per-(destination, cycle) batches in flight, a Send and the
+// flush that applies it reuse pooled batches and their entry slices.
+func TestSerialNetSendFlushZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	net := NewSerialNet(eng)
+	fn := func() {}
+	cycle := func() {
+		now := eng.Now()
+		net.Send(0, 1, now+40, fn)
+		net.Send(2, 1, now+40, fn)
+		net.Send(1, 0, now+45, fn)
+		eng.RunFor(1)
+	}
+	for i := 0; i < 200; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("SerialNet Send+flush allocates %.2f/op at steady state, want 0", avg)
+	}
+	eng.Run()
+}
+
+// TestProcessWaitZeroAlloc pins the process switch: a Wait schedules the
+// pre-bound dispatch and the coroutine hand-off in both directions must not
+// allocate.
+func TestProcessWaitZeroAlloc(t *testing.T) {
+	eng := NewEngine()
+	stop := false
+	Go(eng, "waiter", func(p *Process) {
+		for !stop {
+			p.Wait(1)
+		}
+	})
+	eng.RunFor(64)
+	if avg := testing.AllocsPerRun(1000, func() { eng.RunFor(1) }); avg != 0 {
+		t.Fatalf("Process.Wait switch allocates %.2f/op at steady state, want 0", avg)
+	}
+	stop = true
+	eng.Run()
 }
 
 // TestNextEventTimeRecyclesCancelled pins the lazy drain: when NextEventTime

@@ -75,92 +75,174 @@ func netCmp(a, b netEntry) int {
 	return 0
 }
 
-// dstState is one destination endpoint's delivery state. Buffers are
-// reused flush to flush, so a warmed-up spool parks and flushes without
+// batch is one (destination, cycle)'s deliveries: the argument of that
+// cycle's single flush event. Its envelopes are a list threaded through the
+// spool's entry slab. Batches come from a per-spool free list and the slab
+// recycles entries, so a warmed-up spool parks and flushes without
 // allocating.
+type batch struct {
+	at         Time
+	dst        int
+	head, tail int32  // the batch's envelopes in spool.ents (-1: none)
+	prev, next *batch // the destination's open batches, ascending at
+}
+
+// spoolEnt is one slab slot: a parked envelope and the link to the next
+// envelope of its batch (or, while free, to the next free slot).
+type spoolEnt struct {
+	netEntry
+	next int32
+}
+
+// batchChunk is how many batches one allocation provides.
+const batchChunk = 16
+
+// dstState is one destination endpoint's open batches: those whose flush
+// event is queued but has not run, in ascending delivery time.
 type dstState struct {
-	pending []netEntry // not yet delivered
-	due     []netEntry // scratch: the current cycle's deliveries
-	sched   []Time     // cycles with a flush event already queued
+	first, last *batch
 }
 
 // spool is one engine's delivery side of a CrossNet: per destination
 // endpoint it parks pending envelopes and applies all of a cycle's
 // deliveries in canonical order at the front of that cycle, with exactly
-// one flush event per (destination, cycle). SerialNet is a spool over the
-// single engine; the sharded Group keeps one spool per shard engine, fed
-// from barrier merges and from same-engine sends.
+// one flush event per (destination, cycle) carrying that cycle's batch.
+// SerialNet is a spool over the single engine; the sharded Group keeps one
+// spool per shard engine, fed from barrier merges and from same-engine
+// sends.
 //
 // Endpoint ids may include pcie.HostID (-1); state is indexed at id+1.
 type spool struct {
-	eng     *Engine
-	dsts    []*dstState
-	flushFn func(any) // bound once; arg is the destination endpoint id
+	eng       *Engine
+	dsts      []dstState
+	ents      []spoolEnt // envelope slab; a slot index is the list link
+	freeEnt   int32      // first free slab slot (-1: none)
+	freeBatch *batch     // free batches, linked through next
+	due       []netEntry // scratch: the flushing batch in canonical order
+	flushFn   func(any)  // bound once; arg is the *batch to apply
 }
 
 func newSpool(eng *Engine) *spool {
-	s := &spool{eng: eng}
-	s.flushFn = func(dst any) { s.flush(dst.(int)) }
+	s := &spool{eng: eng, freeEnt: -1}
+	s.flushFn = func(b any) { s.flush(b.(*batch)) }
 	return s
 }
 
 // dstAt returns dst's delivery state, growing the table on first use.
 func (s *spool) dstAt(dst int) *dstState {
 	for dst+1 >= len(s.dsts) {
-		s.dsts = append(s.dsts, nil)
+		s.dsts = append(s.dsts, dstState{})
 	}
-	if s.dsts[dst+1] == nil {
-		s.dsts[dst+1] = &dstState{}
-	}
-	return s.dsts[dst+1]
+	return &s.dsts[dst+1]
 }
 
-// insert parks one envelope and guarantees a flush event for its
-// (destination, cycle). It must run either in the owning engine's own
-// execution context or while that engine is provably parked (a window
-// barrier provides the happens-before edge).
+// insert parks one envelope in its (destination, cycle) batch, opening the
+// batch and queueing its flush event on first use. It must run either in
+// the owning engine's own execution context or while that engine is
+// provably parked (a window barrier provides the happens-before edge).
 func (s *spool) insert(e netEntry) {
 	d := s.dstAt(e.dst)
-	d.pending = append(d.pending, e)
-	// One flush event per (dst, cycle): the scheduled set is a small slice
-	// (only cycles within the fabric's latency spread are outstanding), so
-	// a linear scan beats a map here.
-	if !slices.Contains(d.sched, e.at) {
-		d.sched = append(d.sched, e.at)
-		s.eng.AtFrontArg(e.at, s.flushFn, e.dst)
+	// Deliveries mostly arrive in ascending time per destination, so the
+	// search starts at the latest open batch; only cycles within the
+	// fabric's latency spread are ever open at once.
+	b := d.last
+	for b != nil && b.at > e.at {
+		b = b.prev
 	}
+	if b == nil || b.at != e.at {
+		b = s.open(d, b, e.at, e.dst)
+	}
+	i := s.freeEnt
+	if i >= 0 {
+		s.freeEnt = s.ents[i].next
+		s.ents[i] = spoolEnt{netEntry: e, next: -1}
+	} else {
+		i = int32(len(s.ents))
+		s.ents = append(s.ents, spoolEnt{netEntry: e, next: -1})
+	}
+	if b.head < 0 {
+		b.head = i
+	} else {
+		s.ents[b.tail].next = i
+	}
+	b.tail = i
 }
 
-// flush applies every delivery due on dst at the current cycle, in canonical
-// order. It runs as a prioDeliver event, ahead of the cycle's local work.
-func (s *spool) flush(dst int) {
-	d := s.dstAt(dst)
-	now := s.eng.Now()
-	if i := slices.Index(d.sched, now); i >= 0 {
-		d.sched = slices.Delete(d.sched, i, i+1)
-	}
-	// Partition in place: due entries move to the scratch buffer, the rest
-	// compact to the front of pending. The consumed tail is zeroed so the
-	// delivered closures don't linger past their execution.
-	due := d.due[:0]
-	keep := d.pending[:0]
-	for _, e := range d.pending {
-		if e.at == now {
-			due = append(due, e)
-		} else {
-			keep = append(keep, e)
+// open starts dst's batch for cycle at, linked in after the open batch
+// `after` (nil: first), and queues its flush event.
+func (s *spool) open(d *dstState, after *batch, at Time, dst int) *batch {
+	if s.freeBatch == nil {
+		chunk := make([]batch, batchChunk)
+		for i := range chunk {
+			chunk[i].next = s.freeBatch
+			s.freeBatch = &chunk[i]
 		}
 	}
-	for i := len(keep); i < len(d.pending); i++ {
-		d.pending[i] = netEntry{}
+	b := s.freeBatch
+	s.freeBatch = b.next
+	*b = batch{at: at, dst: dst, head: -1, tail: -1, prev: after}
+	if after == nil {
+		b.next, d.first = d.first, b
+	} else {
+		b.next, after.next = after.next, b
 	}
-	d.pending = keep
+	if b.next == nil {
+		d.last = b
+	} else {
+		b.next.prev = b
+	}
+	s.eng.AtFrontArg(at, s.flushFn, b)
+	return b
+}
+
+// flush applies one batch in canonical order. It runs as a prioDeliver
+// event, ahead of the cycle's local work. Every earlier batch of the
+// destination has flushed already, so b is the first open one; it is
+// closed and its slab slots freed before any delivery runs, and a
+// same-cycle send made by one of them opens a fresh batch with its own
+// flush event.
+func (s *spool) flush(b *batch) {
+	d := s.dstAt(b.dst)
+	if d.first != b {
+		panic(fmt.Sprintf("sim: delivery batch for endpoint %d at %d flushed out of order", b.dst, b.at))
+	}
+	d.first = b.next
+	if d.first == nil {
+		d.last = nil
+	} else {
+		d.first.prev = nil
+	}
+	head, single := b.head, b.head == b.tail
+	*b = batch{next: s.freeBatch}
+	s.freeBatch = b
+	if single { // the common case: nothing to order
+		e, _ := s.take(head)
+		e.fn()
+		return
+	}
+	due := s.due[:0]
+	s.due = nil // a delivery that re-enters flush gets its own scratch
+	for i := head; i >= 0; {
+		var e netEntry
+		e, i = s.take(i)
+		due = append(due, e)
+	}
 	slices.SortFunc(due, netCmp)
 	for i := range due {
 		due[i].fn()
 		due[i].fn = nil
 	}
-	d.due = due[:0]
+	s.due = due[:0]
+}
+
+// take removes the envelope in slab slot i, frees the slot (dropping its
+// closure reference) and returns the envelope with its batch successor.
+func (s *spool) take(i int32) (netEntry, int32) {
+	en := &s.ents[i]
+	e, next := en.netEntry, en.next
+	*en = spoolEnt{next: s.freeEnt}
+	s.freeEnt = i
+	return e, next
 }
 
 // SerialNet is the single-engine CrossNet: everything runs on one Engine,

@@ -7,18 +7,26 @@
 // the sequence number is assigned at scheduling time. Two runs with the same
 // inputs produce identical event orders and therefore identical results.
 //
-// Throughput: the engine is allocation-free on its hot path. Events live in a
-// per-Engine pool and are recycled through a free list; a generation counter
-// per slot keeps a stale Timer from cancelling a recycled event. The pending
-// queue is a hand-rolled 4-ary heap over a value slice (no interface boxing,
-// no per-push allocation), and work scheduled for the current cycle bypasses
-// the heap entirely through a FIFO — the majority of cycle-level traffic
-// (zero-delay continuations, process dispatches) never touches the heap.
+// Throughput: the engine is allocation-free on its hot path and every
+// scheduling operation is O(1) for near events. Events live in a per-Engine
+// pool and are recycled through a free list; a generation counter per slot
+// keeps a stale Timer from cancelling a recycled event. Pending events less
+// than wheelSize cycles ahead sit on a timing wheel: one bucket per cycle,
+// holding a front-of-cycle (prioDeliver) list and a normal list, both
+// threaded through the pool by index, plus an occupancy bitmap that finds
+// the next non-empty cycle with a few word scans. Appends happen in sequence
+// order, so each list is sorted by construction. Only far events (wheelSize
+// or more cycles out — a fraction of a percent of simulator traffic) go to a
+// 4-ary heap, which the pop path merges against the wheel by (time, key).
+// CrossNet deliveries (crossnet.go) ride the wheel as one front-of-cycle
+// flush event per (destination, cycle) batch, and processes (process.go)
+// are iter.Pull coroutines resumed by ordinary events.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in simulated time, measured in clock cycles of the
@@ -31,7 +39,8 @@ const TimeMax Time = math.MaxUint64
 // event is a pooled scheduled callback. Exactly one of fn/afn is set while
 // the event is live; both nil marks a cancelled (or free) slot. gen counts
 // how many times the slot has been recycled, so a Timer holding (idx, gen)
-// can never resurrect or cancel a successor event in the same slot.
+// can never resurrect or cancel a successor event in the same slot. next
+// links the slot into its wheel bucket's list (-1 ends the list).
 type event struct {
 	at   Time
 	seq  uint64
@@ -40,6 +49,7 @@ type event struct {
 	arg  any
 	gen  uint64
 	prio uint8
+	next int32
 }
 
 // live reports whether the slot holds a schedulable callback.
@@ -53,7 +63,26 @@ const (
 	prioNormal  = 1
 )
 
-// heapEnt is one pending-queue entry: the ordering key plus the pool index.
+// wheelSize is the timing wheel's span in cycles (a power of two). Events
+// scheduled fewer than wheelSize cycles ahead take the O(1) wheel path;
+// the simulator's model latencies (router hops, cache and DRAM lookups,
+// PCIe crossings) all fall well inside it.
+const (
+	wheelSize  = 256
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// bucket is one wheel slot: the pending events of a single cycle as two
+// intrusive FIFO lists over the pool, front-of-cycle deliveries first. The
+// heads are only meaningful while the slot's occupancy bit is set; setting
+// the bit resets them, so an idle slot needs no cleanup.
+type bucket struct {
+	frontHead, frontTail int32
+	normHead, normTail   int32
+}
+
+// heapEnt is one far-event heap entry: the ordering key plus the pool index.
 // key folds (prio, seq) into one word — prio in the top bit, seq below — so
 // the heap comparison is two integer compares with no pointer chasing.
 type heapEnt struct {
@@ -80,16 +109,17 @@ type Engine struct {
 	live      int  // scheduled events that have not fired and are not cancelled
 	lastEvent Time // timestamp of the most recently executed event
 
-	pool []event   // event slots; index is the stable handle
-	free []int32   // recycled slot indices
-	heap []heapEnt // 4-ary min-heap ordered by (at, prio, seq)
+	pool []event // event slots; index is the stable handle
+	free []int32 // recycled slot indices
 
-	// Same-cycle FIFO fast path: normal-priority events scheduled for the
-	// current cycle. Entries are appended in seq order, so the FIFO is
-	// already sorted; only a front-of-cycle (prioDeliver) heap event can
-	// order before its head.
-	fifo     []int32
-	fifoHead int
+	// Timing wheel for events at [now, now+wheelSize). Slot t&wheelMask
+	// holds cycle t: every queued event is at or after now (the clock only
+	// moves to the earliest queued time, or past an empty stretch), so a
+	// slot never mixes two cycles.
+	wheel [wheelSize]bucket
+	occ   [wheelWords]uint64 // bit s set: wheel[s] holds at least one event
+
+	heap []heapEnt // far events, a 4-ary min-heap ordered by (at, prio, seq)
 
 	// stats
 	executed uint64
@@ -146,18 +176,86 @@ func (e *Engine) release(idx int32) {
 }
 
 // enqueue places a freshly allocated slot in the pending structure: the
-// same-cycle FIFO when it is normal-priority work for the current cycle,
-// the heap otherwise.
+// tail of its cycle's wheel list when it is near, the far heap otherwise.
+// Sequence numbers only grow, so tail appends keep each list in seq order.
 func (e *Engine) enqueue(idx int32, t Time, prio uint8) {
 	e.live++
-	if t == e.now && prio == prioNormal {
-		e.fifo = append(e.fifo, idx)
+	if t-e.now >= wheelSize {
+		e.heapPush(heapEnt{at: t, key: entKey(prio, e.pool[idx].seq), idx: idx})
 		return
 	}
-	e.heapPush(heapEnt{at: t, key: entKey(prio, e.pool[idx].seq), idx: idx})
+	s := int(t & wheelMask)
+	b := &e.wheel[s]
+	if w, bit := s>>6, uint64(1)<<(s&63); e.occ[w]&bit == 0 {
+		e.occ[w] |= bit
+		b.frontHead, b.normHead = -1, -1
+	}
+	e.pool[idx].next = -1
+	if prio == prioDeliver {
+		if b.frontHead < 0 {
+			b.frontHead = idx
+		} else {
+			e.pool[b.frontTail].next = idx
+		}
+		b.frontTail = idx
+		return
+	}
+	if b.normHead < 0 {
+		b.normHead = idx
+	} else {
+		e.pool[b.normTail].next = idx
+	}
+	b.normTail = idx
 }
 
-// heapPush inserts an entry into the 4-ary heap.
+// wheelSlot returns the slot of the earliest non-empty wheel cycle. Slots
+// are scanned circularly from now's slot, which is ascending time order.
+func (e *Engine) wheelSlot() (int, bool) {
+	s := int(e.now & wheelMask)
+	w := s >> 6
+	if m := e.occ[w] &^ (1<<(s&63) - 1); m != 0 {
+		return w<<6 | bits.TrailingZeros64(m), true
+	}
+	for i := 1; i < wheelWords; i++ {
+		wi := (w + i) % wheelWords
+		if m := e.occ[wi]; m != 0 {
+			return wi<<6 | bits.TrailingZeros64(m), true
+		}
+	}
+	if m := e.occ[w] & (1<<(s&63) - 1); m != 0 {
+		return w<<6 | bits.TrailingZeros64(m), true
+	}
+	return 0, false
+}
+
+// wheelHead returns the first event of an occupied slot.
+func (e *Engine) wheelHead(s int) int32 {
+	b := &e.wheel[s]
+	if b.frontHead >= 0 {
+		return b.frontHead
+	}
+	return b.normHead
+}
+
+// wheelPop unlinks and returns the first event of an occupied slot,
+// clearing its occupancy bit when the slot empties.
+func (e *Engine) wheelPop(s int) int32 {
+	b := &e.wheel[s]
+	var idx int32
+	if b.frontHead >= 0 {
+		idx = b.frontHead
+		b.frontHead = e.pool[idx].next
+	} else {
+		idx = b.normHead
+		b.normHead = e.pool[idx].next
+	}
+	if b.frontHead < 0 && b.normHead < 0 {
+		e.occ[s>>6] &^= 1 << (s & 63)
+	}
+	return idx
+}
+
+// heapPush inserts an entry into the 4-ary far heap.
 func (e *Engine) heapPush(ent heapEnt) {
 	h := append(e.heap, ent)
 	i := len(h) - 1
@@ -200,16 +298,6 @@ func (e *Engine) heapPopHead() {
 		}
 		h[i], h[m] = h[m], h[i]
 		i = m
-	}
-}
-
-// fifoAdvance consumes the FIFO head, resetting the buffer once drained so
-// its capacity is reused cycle after cycle.
-func (e *Engine) fifoAdvance() {
-	e.fifoHead++
-	if e.fifoHead == len(e.fifo) {
-		e.fifo = e.fifo[:0]
-		e.fifoHead = 0
 	}
 }
 
@@ -330,65 +418,50 @@ func (e *Engine) After(delay Time, fn func()) Timer {
 // recycled onto the free list, exactly as Step's drain does). The second
 // return is false when no live events remain.
 func (e *Engine) NextEventTime() (Time, bool) {
-	for e.fifoHead < len(e.fifo) {
-		idx := e.fifo[e.fifoHead]
-		if e.pool[idx].live() {
-			return e.now, true
+	for {
+		idx, s, ok := e.head()
+		if !ok {
+			return 0, false
 		}
-		e.fifoAdvance()
+		if ev := &e.pool[idx]; ev.live() {
+			return ev.at, true
+		}
+		e.pop(s)
 		e.release(idx)
 	}
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		if e.pool[ent.idx].live() {
-			return ent.at, true
-		}
-		e.heapPopHead()
-		e.release(ent.idx)
-	}
-	return 0, false
 }
 
-// peekAt returns the timestamp of the earliest queued event, live or
-// cancelled (run loops use it for deadline checks; Step discards cancelled
-// heads without executing them).
-func (e *Engine) peekAt() (Time, bool) {
-	if e.fifoHead < len(e.fifo) {
-		return e.now, true
-	}
-	if len(e.heap) > 0 {
-		return e.heap[0].at, true
-	}
-	return 0, false
-}
-
-// next pops the globally earliest queued event's slot index. The FIFO holds
-// only normal-priority work for the current cycle, already in seq order, so
-// the only heap entry that can order before its head is same-cycle work with
-// a smaller key (a front-of-cycle delivery, or a normal event scheduled
-// before the clock reached this cycle).
-func (e *Engine) next() (int32, bool) {
-	hasF := e.fifoHead < len(e.fifo)
+// head locates the earliest queued event, live or cancelled, without
+// removing it: its pool index and its wheel slot (-1 for the far heap's
+// head). A far event reaches the front only by comparison: it stays in the
+// heap until popped, and orders against the earliest wheel cycle's first
+// event by (time, priority, sequence) like any other event.
+func (e *Engine) head() (int32, int, bool) {
+	s, inWheel := e.wheelSlot()
 	if len(e.heap) > 0 {
 		ent := e.heap[0]
-		if hasF {
-			f := e.fifo[e.fifoHead]
-			if ent.at == e.now && ent.key < entKey(prioNormal, e.pool[f].seq) {
-				e.heapPopHead()
-				return ent.idx, true
-			}
-			e.fifoAdvance()
-			return f, true
+		if !inWheel {
+			return ent.idx, -1, true
 		}
+		w := e.wheelHead(s)
+		if ev := &e.pool[w]; ent.at < ev.at || ent.at == ev.at && ent.key < entKey(ev.prio, ev.seq) {
+			return ent.idx, -1, true
+		}
+		return w, s, true
+	}
+	if !inWheel {
+		return 0, 0, false
+	}
+	return e.wheelHead(s), s, true
+}
+
+// pop removes the event head just located in slot s.
+func (e *Engine) pop(s int) {
+	if s < 0 {
 		e.heapPopHead()
-		return ent.idx, true
+	} else {
+		e.wheelPop(s)
 	}
-	if hasF {
-		f := e.fifo[e.fifoHead]
-		e.fifoAdvance()
-		return f, true
-	}
-	return 0, false
 }
 
 // Step executes the single next event. It reports false when the queue is
@@ -399,14 +472,21 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	idx, ok := e.next()
+	idx, s, ok := e.head()
 	if !ok {
 		return false
 	}
+	e.pop(s)
+	e.exec(idx)
+	return true
+}
+
+// exec runs (or, when cancelled, discards) a popped event.
+func (e *Engine) exec(idx int32) {
 	ev := &e.pool[idx]
 	if !ev.live() {
 		e.release(idx) // cancelled; already removed from the live count
-		return true
+		return
 	}
 	e.now = ev.at
 	e.lastEvent = ev.at
@@ -422,7 +502,6 @@ func (e *Engine) Step() bool {
 	} else {
 		afn(arg)
 	}
-	return true
 }
 
 // Run executes events until the queue drains or Stop is called. It returns
@@ -437,13 +516,7 @@ func (e *Engine) Run() Time {
 // beyond the deadline remain queued; the clock is left at min(deadline,
 // last executed event time).
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.stopped {
-		t, ok := e.peekAt()
-		if !ok || t > deadline {
-			break
-		}
-		e.Step()
-	}
+	e.runTo(deadline)
 	if e.now < deadline && !e.stopped {
 		e.now = deadline
 	}
@@ -460,11 +533,12 @@ func (e *Engine) RunFor(d Time) Time { return e.RunUntil(e.now + d) }
 // timestamp post-window scheduling differently across modes).
 func (e *Engine) runTo(deadline Time) {
 	for !e.stopped {
-		t, ok := e.peekAt()
-		if !ok || t > deadline {
+		idx, s, ok := e.head()
+		if !ok || e.pool[idx].at > deadline {
 			break
 		}
-		e.Step()
+		e.pop(s)
+		e.exec(idx)
 	}
 }
 

@@ -6,6 +6,7 @@
 package smappic_test
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -22,28 +23,39 @@ import (
 )
 
 // hammer polls /api/metrics from several goroutines until stop is closed,
-// checking every response parses. Returns a join function.
+// checking every response parses. Closing stop cancels the requests in
+// flight, and an error after that is a clean shutdown. Returns a join
+// function; call it before closing the server's connections, so a poll is
+// never cut mid-body.
 func hammer(t *testing.T, url string, stop chan struct{}) func() {
 	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-stop
+		cancel()
+	}()
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				resp, err := http.Get(url + "/api/metrics")
+			for ctx.Err() == nil {
+				req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/api/metrics", nil)
 				if err != nil {
+					t.Errorf("metrics request: %v", err)
+					return
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					if ctx.Err() == nil {
+						t.Errorf("mid-run metrics request: %v", err)
+					}
 					return
 				}
 				var doc map[string]any
 				err = json.NewDecoder(resp.Body).Decode(&doc)
 				resp.Body.Close()
-				if err != nil {
+				if err != nil && ctx.Err() == nil {
 					t.Errorf("mid-run metrics not valid JSON: %v", err)
 					return
 				}
@@ -77,8 +89,8 @@ func TestGoldenQuickstartWithServer(t *testing.T) {
 	p.RunObserved(500, srv.Publish)
 	srv.Flush()
 	close(stop)
-	ts.CloseClientConnections()
 	join()
+	ts.CloseClientConnections()
 
 	if got, want := host.Console(0), "10! = 3628800\n"; got != want {
 		t.Fatalf("console = %q, want %q", got, want)
@@ -115,8 +127,8 @@ func TestGoldenNUMA48WithServer(t *testing.T) {
 	r := workload.RunIS(k, ip)
 	srv.Flush()
 	close(stop)
-	ts.CloseClientConnections()
 	join()
+	ts.CloseClientConnections()
 
 	if !r.Sorted {
 		t.Fatal("integer sort output not sorted")
