@@ -6,7 +6,7 @@
 // Usage:
 //
 //	smappic-run -shape 1x1x2 [-prog program.s] [-max-cycles N]
-//	            [-parallel N] [-adaptive N] [-shard-granularity fpga|node]
+//	            [-parallel N]
 //	            [-metrics-json out.json] [-trace-out trace.json]
 //	            [-sample-every N] [-sample-out samples.csv]
 //	            [-faults SPEC] [-fault-seed N] [-watchdog N]
@@ -48,14 +48,9 @@
 // -parallel N (N > 1) shards the simulation one-engine-per-FPGA under the
 // conservative lookahead synchronizer; results are bit-identical to the
 // default serial engine. Windows widen adaptively while cross-shard traffic
-// is absent (geometric doubling, collapsing back to the minimum crossing
-// when traffic returns); -adaptive N caps the widening at N minimum
-// crossings (0 = default cap, 1 = fixed pre-adaptive windows).
-// -shard-granularity picks the shard unit: "fpga" (default, one engine per
-// FPGA) or "node" (one engine per simulated node, nested under the per-FPGA
-// windows at the intra-FPGA interconnect lookahead — on multi-node FPGAs
-// this exposes NodesPerFPGA times more host parallelism). All these knobs
-// are execution policy: they change wall-clock, never results.
+// is absent (geometric doubling up to the default cap, collapsing back to
+// the minimum crossing when traffic returns). Any N > 1 runs one shard per
+// FPGA: the flag is execution policy and changes wall-clock, never results.
 // The sharded engine does not support the event-trace or sampler extras;
 // -watchdog works in both modes (sharded runs check forward progress at
 // window barriers and name the wedged shard — with a watchdog armed the
@@ -129,14 +124,12 @@ func main() {
 	faultSeed := flag.Uint64("fault-seed", 1, "default RNG seed for fault rules without an explicit seed=")
 	watchdog := flag.Uint64("watchdog", 0, "stall-detection window in cycles (0 = off)")
 	parallel := flag.Int("parallel", 0, "shard the simulation across goroutines, one per FPGA (>1 = on; results are identical to serial)")
-	adaptive := flag.Int("adaptive", 0, "adaptive lookahead cap in minimum-crossing multiples for -parallel runs (0 = default cap, 1 = fixed windows)")
-	granularity := flag.String("shard-granularity", "", `shard unit for -parallel runs: "fpga" (default) or "node" (one engine per node under nested windows)`)
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	serve := flag.String("serve", "", "serve the live dashboard on this address (e.g. 127.0.0.1:8080) for the duration of the run")
 	publishEvery := flag.Uint64("publish-every", 100_000, "serial dashboard snapshot cadence in cycles (sharded runs publish at window barriers)")
 	serveHold := flag.Duration("serve-hold", 0, "keep the dashboard up this long after the run ends (outputs are written first)")
-	syncMetrics := flag.Bool("sync-metrics", false, "record per-shard synchronizer telemetry (fpga<i>.sync.*, or node<i>.sync.* at node granularity) in the metrics report; sharded runs only, makes the report differ from a serial run's")
+	syncMetrics := flag.Bool("sync-metrics", false, "record per-shard synchronizer telemetry (fpga<i>.sync.*) in the metrics report; sharded runs only, makes the report differ from a serial run's")
 	checkpoint := flag.String("checkpoint", "", "write a replay snapshot to this file at -checkpoint-at cycles, then continue")
 	checkpointAt := flag.Uint64("checkpoint-at", 0, "simulated cycle at which to take the -checkpoint snapshot")
 	restore := flag.String("restore", "", "restore a replay snapshot from this file (same -shape/-faults/etc as the original run), then continue")
@@ -153,8 +146,6 @@ func main() {
 	}
 	cfg := smappic.DefaultConfig(a, b, c)
 	cfg.Parallel = *parallel
-	cfg.AdaptiveLookahead = *adaptive
-	cfg.ShardGranularity = *granularity
 	cfg.SyncMetrics = *syncMetrics
 	cfg.Faults, err = smappic.ParseFaults(*faults, *faultSeed)
 	if err != nil {

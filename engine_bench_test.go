@@ -73,7 +73,7 @@ func BenchmarkEngine_Quickstart(b *testing.B) {
 func BenchmarkEngine_NUMA48(b *testing.B) {
 	var cycles smappic.Time
 	for i := 0; i < b.N; i++ {
-		cycles = benchIS(b, 4, 1, 12, 0, 0, "")
+		cycles = benchIS(b, 4, 1, 12, 0, 0)
 	}
 	reportThroughput(b, cycles)
 }
@@ -84,7 +84,7 @@ func BenchmarkEngine_NUMA48(b *testing.B) {
 func BenchmarkEngine_NPBIS8(b *testing.B) {
 	var cycles smappic.Time
 	for i := 0; i < b.N; i++ {
-		cycles = benchIS(b, 4, 2, 2, 0, 0, "")
+		cycles = benchIS(b, 4, 2, 2, 0, 0)
 	}
 	reportThroughput(b, cycles)
 }

@@ -137,7 +137,9 @@ type Replay struct {
 	// Windows is the sharded group's completed-window count at capture
 	// (used instead of Executed when Parallel > 1).
 	Windows uint64 `json:"windows,omitempty"`
-	// Parallel records the shard count the cursor was taken under.
+	// Parallel records the run's Parallel setting. Restore only tells
+	// serial (<= 1) from sharded (> 1): a sharded run always has one shard
+	// per FPGA, whatever the value.
 	Parallel int `json:"parallel,omitempty"`
 	// Adaptive records the effective adaptive-lookahead cap of a sharded
 	// run: window counts are only comparable between runs widening their
@@ -145,18 +147,18 @@ type Replay struct {
 	// Zero in serial cursors and in snapshots predating the field.
 	Adaptive int `json:"adaptive,omitempty"`
 	// WindowDigest fingerprints the sharded run's window sequence (each
-	// window's start time and realized width, FNV-1a folded; hierarchical
-	// runs fold every cluster's inner-window sequence in too). Replay
+	// window's start time and realized width, FNV-1a folded). Replay
 	// verifies it after reaching the cursor, proving the restore re-ran the
 	// identical windows rather than merely the same number of them. Never
 	// zero when written (the digest starts at the FNV offset basis); zero
 	// means a serial cursor or an older snapshot, and is not checked.
 	WindowDigest uint64 `json:"window_digest,omitempty"`
-	// Granularity records the shard granularity ("fpga" or "node") of a
-	// sharded cursor: window counts and digests are granularity-specific,
-	// so restore refuses a cursor taken at the other granularity. Empty in
-	// serial cursors and in snapshots predating the field (which are all
-	// per-FPGA).
+	// Granularity records the shard unit of a sharded cursor. Current
+	// builds write "fpga", the only unit they shard by; restore accepts
+	// that and the empty value of snapshots predating the field, and
+	// refuses anything else (such as "node" from builds that also sharded
+	// per node, whose window counts and digests mean something else).
+	// Empty in serial cursors.
 	Granularity string `json:"granularity,omitempty"`
 }
 

@@ -47,6 +47,18 @@ func (c Config) PrefixString() string {
 		c.DRAMLatency, c.DRAMBytesPerCycle, c.PCIe, c.ClockMHz, c.Seed)
 }
 
+// shardGranularity is the shard unit replay cursors record: one shard per
+// FPGA, the only unit the sharded engine has.
+const shardGranularity = "fpga"
+
+// engineMode names a cursor's or build's engine mode for mismatch errors.
+func engineMode(sharded bool) string {
+	if sharded {
+		return "sharded"
+	}
+	return "serial"
+}
+
 // normalizedParallel folds "unset" and "1" into one serial mode value.
 func normalizedParallel(parallel int) int {
 	if parallel <= 1 {
@@ -73,7 +85,7 @@ func (p *Prototype) Checkpoint(w io.Writer) error {
 		snap.Replay.Windows = p.Group.Windows()
 		snap.Replay.Adaptive = p.Group.WidthCap()
 		snap.Replay.WindowDigest = p.Group.WindowDigest()
-		snap.Replay.Granularity = p.Cfg.Granularity()
+		snap.Replay.Granularity = shardGranularity
 	} else {
 		snap.Replay.Executed = p.Eng.Executed()
 	}
@@ -114,22 +126,20 @@ func (p *Prototype) Replay(snap *ckpt.Snapshot) error {
 		return &ckpt.MismatchError{Field: "workload", Got: snap.Workload, Want: p.WorkloadTag}
 	}
 	rp := snap.Replay
-	if rp.Parallel != normalizedParallel(p.Cfg.Parallel) {
-		return &ckpt.MismatchError{Field: "execution mode (parallel shards)",
-			Got: fmt.Sprint(rp.Parallel), Want: fmt.Sprint(normalizedParallel(p.Cfg.Parallel))}
+	// Only the engine mode matters, not the recorded -parallel value: a
+	// sharded build always runs one shard per FPGA, so every sharded cursor
+	// of a configuration counts the same windows.
+	if sharded := p.Group != nil; (rp.Parallel > 1) != sharded {
+		return &ckpt.MismatchError{Field: "execution mode",
+			Got: engineMode(rp.Parallel > 1), Want: engineMode(sharded)}
 	}
 	if p.Group != nil {
-		// A window cursor is granularity-specific: per-FPGA and per-node
-		// runs of one configuration execute different window sequences, so
-		// a cursor only replays at the granularity it was taken under.
-		// Cursors predating the field are all per-FPGA.
-		cursorGran := rp.Granularity
-		if cursorGran == "" {
-			cursorGran = "fpga"
-		}
-		if cursorGran != p.Cfg.Granularity() {
+		// Cursors record the shard granularity: "fpga", or empty before the
+		// field existed. Anything else (an older binary's per-node cursor)
+		// counts windows of a synchronizer this build no longer has.
+		if rp.Granularity != "" && rp.Granularity != shardGranularity {
 			return &ckpt.MismatchError{Field: "shard granularity",
-				Got: cursorGran, Want: p.Cfg.Granularity()}
+				Got: rp.Granularity, Want: shardGranularity}
 		}
 		// A window cursor only means "the same windows" if both runs widen
 		// them identically, so the adaptive cap is part of the cursor's

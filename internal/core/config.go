@@ -85,28 +85,15 @@ type Config struct {
 	// diagnosis names the wedged shard).
 	WatchdogInterval sim.Time
 
-	// Parallel > 1 shards the simulation: one engine per shard running on
-	// its own goroutine under a bounded-lag synchronizer whose outer
-	// lookahead is the minimum PCIe crossing (see internal/sim/parallel.go).
-	// ShardGranularity picks the shard size — one per FPGA (default) or one
-	// per node, the latter nesting the co-located engines in an inner
-	// window level at the intra-FPGA interconnect crossing — so the value
-	// only selects the mode. Sharded runs produce byte-identical
-	// MetricsJSON to serial ones at either granularity; the
+	// Parallel > 1 shards the simulation: one engine per FPGA running on
+	// its own goroutine under a bounded-lag synchronizer whose lookahead is
+	// the minimum PCIe crossing (see internal/sim/parallel.go). The shard
+	// count is always FPGAs, so the value only selects the mode. Sharded
+	// runs produce byte-identical MetricsJSON to serial ones; the
 	// live-introspection extras (tracer, sampler, latency probe) are
 	// serial-only, and the watchdog switches to its barrier-hook sharded
 	// form. 0 or 1 (the default) runs serial.
 	Parallel int
-
-	// ShardGranularity selects how finely a Parallel > 1 build shards:
-	// "fpga" (or "", the default) runs one engine per FPGA; "node" runs one
-	// engine per node, letting a 48-core numa48 shape occupy 48 host cores
-	// under the hierarchical window synchronizer. Execution policy like
-	// Parallel itself: results are byte-identical across granularities, so
-	// the value is excluded from the configuration identity — but replay
-	// snapshots of sharded runs record it, since the window-digest cursor
-	// they carry is granularity-specific. Ignored when serial.
-	ShardGranularity string
 
 	// AdaptiveLookahead caps the sharded synchronizer's adaptive window
 	// widening, in multiples of the minimum PCIe crossing: windows double
@@ -214,19 +201,7 @@ func (c Config) Validate() error {
 	if c.AdaptiveLookahead < 0 {
 		return fmt.Errorf("core: AdaptiveLookahead %d; want 0 (default), 1 (fixed windows) or a positive cap", c.AdaptiveLookahead)
 	}
-	if g := c.ShardGranularity; g != "" && g != "fpga" && g != "node" {
-		return fmt.Errorf("core: unknown shard granularity %q; want fpga or node", g)
-	}
 	return nil
-}
-
-// Granularity resolves the effective shard granularity ("fpga" or "node"),
-// mapping the empty default to "fpga".
-func (c Config) Granularity() string {
-	if c.ShardGranularity == "" {
-		return "fpga"
-	}
-	return c.ShardGranularity
 }
 
 // AdaptiveCap resolves the effective adaptive-lookahead cap for a sharded

@@ -9,11 +9,10 @@ import (
 // icLatency is the intra-FPGA interconnect traversal latency in cycles: the
 // crossing every hop inside the custom logic pays (bridge slot to bridge
 // slot, shell to bridge slot). It replaces the old per-FPGA crossbar's
-// traversal latency — but as a CrossNet send instead of a same-engine
-// forward, so co-located nodes become shard boundaries and the per-node
-// sharded engine can use it as its inner lookahead. Every mode routes these
-// hops the same way (the serial reference and per-FPGA shards included),
-// which is what keeps results granularity-invariant.
+// traversal latency, as a CrossNet send between node endpoints instead of
+// a same-engine forward. The endpoints of one FPGA share its shard engine,
+// so the send never leaves it; serial and sharded runs route these hops
+// the same way, and the goldens pin the resulting timing.
 const icLatency sim.Time = 2
 
 // icBeats converts a transfer size to target-port beats (one beat per cycle
@@ -29,7 +28,8 @@ func icBeats(n int) sim.Time {
 // icPort is the destination side of one interconnect window: the
 // arbitration point serializing beats onto one bridge's inbound port. It is
 // owned by the destination node's engine — arbitration state is only
-// touched from delivered events, so per-node shards need no locking.
+// touched from delivered events on that node's shard engine, so it needs
+// no locking.
 type icPort struct {
 	node   int // the node whose bridge sits behind this port
 	eng    *sim.Engine

@@ -162,13 +162,9 @@ func Build(cfg Config) (*Prototype, error) {
 		return nil, err
 	}
 	parallel := cfg.Parallel > 1
-	perNode := parallel && cfg.Granularity() == "node"
 	shards := 1
 	if parallel {
 		shards = cfg.FPGAs
-		if perNode {
-			shards = cfg.TotalNodes()
-		}
 	}
 	p := &Prototype{
 		Cfg:        cfg,
@@ -180,37 +176,19 @@ func Build(cfg Config) (*Prototype, error) {
 		nodeShard:  make([]int, cfg.TotalNodes()),
 		icPorts:    make([]*icPort, cfg.TotalNodes()),
 	}
-	for n := range p.nodeShard {
-		switch {
-		case perNode:
-			p.nodeShard[n] = n
-		case parallel:
-			p.nodeShard[n] = n / cfg.NodesPerFPGA
-		}
-	}
 	if parallel {
-		// One engine and registry per shard (an FPGA, or a node under
-		// per-node granularity); shards never touch each other's. p.Stats
-		// stays empty until report time, when the shard registries are
-		// folded into it.
+		// One engine and registry per FPGA, hosting all of its nodes; shards
+		// never touch each other's. p.Stats stays empty until report time,
+		// when the shard registries are folded into it.
 		p.Stats = &sim.Stats{}
 		for i := range p.engs {
 			p.engs[i] = sim.NewEngine()
 			p.shardStats[i] = &sim.Stats{}
 		}
-		// Clusters group one FPGA's shard engines under the inner (intra-
-		// FPGA interconnect) lookahead; the outer level synchronizes FPGAs
-		// at the PCIe lookahead. Per-FPGA granularity degenerates to
-		// singleton clusters — the flat, one-level behavior.
-		clusters := make([][]*sim.Engine, cfg.FPGAs)
-		for f := range clusters {
-			if perNode {
-				clusters[f] = p.engs[f*cfg.NodesPerFPGA : (f+1)*cfg.NodesPerFPGA]
-			} else {
-				clusters[f] = p.engs[f : f+1]
-			}
+		for n := range p.nodeShard {
+			p.nodeShard[n] = n / cfg.NodesPerFPGA
 		}
-		p.Group = sim.NewHierGroup(cfg.PCIe.MinCrossing(), icLatency, clusters, p.nodeShard)
+		p.Group = sim.NewGroup(cfg.PCIe.MinCrossing(), p.nodeShard, p.engs...)
 		p.Group.SetAdaptive(cfg.AdaptiveCap())
 		p.Group.SetMinLatencyFunc(p.minCrossingOf)
 		p.net = p.Group
@@ -234,13 +212,12 @@ func Build(cfg Config) (*Prototype, error) {
 	p.Fabric = pcie.New(p.engs[0], cfg.PCIe, p.shardStats[0])
 	p.Fabric.SetInjector(p.Injector)
 	// The fabric addresses endpoints by FPGA id; the CrossNet underneath
-	// speaks node ids (so intra-FPGA hops can cross shards too). pcieView
-	// translates: FPGA f rides its slot-0 node's endpoint.
+	// speaks node ids (intra-FPGA hops ride it too). pcieView translates:
+	// FPGA f rides its slot-0 node's endpoint.
 	p.Fabric.SetCrossNet(pcieView{net: p.net, nodes: cfg.NodesPerFPGA})
 	if parallel {
 		for f := 0; f < cfg.FPGAs; f++ {
-			s := p.nodeShard[f*cfg.NodesPerFPGA]
-			p.Fabric.ShardEndpoint(f, p.engs[s], p.shardStats[s])
+			p.Fabric.ShardEndpoint(f, p.engs[f], p.shardStats[f])
 		}
 	}
 	if cfg.WatchdogInterval > 0 {
@@ -449,13 +426,11 @@ func (p *Prototype) Now() sim.Time {
 }
 
 // ShardOfNode returns the shard index that simulates a node: 0 when
-// serial, the node's FPGA under per-FPGA granularity, the node itself
-// under per-node granularity.
+// serial, the node's FPGA when sharded.
 func (p *Prototype) ShardOfNode(node int) int { return p.nodeShard[node] }
 
-// EngineForNode returns the engine that simulates a node: its shard's
-// engine, or the global engine when serial. Under per-node granularity
-// distinct co-located nodes get distinct engines.
+// EngineForNode returns the engine that simulates a node: its FPGA's shard
+// engine, or the global engine when serial.
 func (p *Prototype) EngineForNode(node int) *sim.Engine {
 	return p.engs[p.nodeShard[node]]
 }
@@ -476,17 +451,16 @@ func (p *Prototype) StatsForNode(node int) *sim.Stats {
 
 // ShardRegistries returns the per-shard stats registries in shard order
 // (one registry, the global one, when serial). Observers that rebuild the
-// merged report must fold all of them, whatever the granularity.
+// merged report must fold all of them.
 func (p *Prototype) ShardRegistries() []*sim.Stats { return p.shardStats }
 
-// Lookahead returns the minimum cross-FPGA latency in cycles — the outer
+// Lookahead returns the minimum cross-FPGA latency in cycles — the
 // bound every PCIe-class CrossNet send must respect, in either mode
 // (serial runs must obey it too or they would diverge from sharded ones).
 func (p *Prototype) Lookahead() sim.Time { return p.Cfg.PCIe.MinCrossing() }
 
-// InnerLookahead returns the minimum intra-FPGA cross-shard latency in
-// cycles: the interconnect crossing between co-located nodes, and the
-// inner window bound of per-node sharded runs. Like Lookahead it is a
+// InnerLookahead returns the minimum intra-FPGA latency in cycles: the
+// interconnect crossing between co-located nodes. Like Lookahead it is a
 // property of the model, not the execution mode.
 func (p *Prototype) InnerLookahead() sim.Time { return icLatency }
 

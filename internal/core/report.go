@@ -289,12 +289,8 @@ func (p *Prototype) shardHasInflight(shard int) bool {
 // wedged shard and listing where its outstanding work is stuck.
 func (p *Prototype) shardStallDiagnosis(shard int, interval sim.Time) string {
 	var b strings.Builder
-	kind := "fpga"
-	if p.Cfg.Granularity() == "node" {
-		kind = "node"
-	}
-	fmt.Fprintf(&b, "WATCHDOG: shard %d (%s%d) made no forward progress for %d cycles at cycle %d with transactions in flight\n",
-		shard, kind, shard, interval, p.Group.Now())
+	fmt.Fprintf(&b, "WATCHDOG: shard %d (fpga%d) made no forward progress for %d cycles at cycle %d with transactions in flight\n",
+		shard, shard, interval, p.Group.Now())
 	fmt.Fprintf(&b, "outstanding on shard %d (nonzero gauges):\n", shard)
 	s := p.shardStats[shard]
 	for _, name := range s.GaugeNames() {

@@ -89,8 +89,8 @@ type Config struct {
 	// a multi-FPGA prototype it must be at least the PCIe lookahead so a
 	// cross-FPGA hop is representable under the conservative synchronizer;
 	// on any multi-node prototype it must be at least the intra-FPGA
-	// interconnect lookahead for the same reason (a hop between co-located
-	// nodes crosses shards under per-node granularity).
+	// interconnect crossing, the model-latency floor every hop between
+	// co-located nodes must respect.
 	MigrateCost sim.Time
 	// Seed drives the topology-blind allocator and migration choices.
 	Seed uint64
@@ -360,9 +360,9 @@ func (t *Thread) Hart() int { return t.hart }
 // maybeMigrate implements the non-NUMA scheduler: at each expired quantum
 // the thread may hop to another allowed hart. A hop that changes nodes
 // moves the thread's process through the cross-shard network to the
-// destination node's engine — the same route in every mode and at every
-// granularity, so results are mode-invariant (MigrateCost covers the
-// governing lookahead, PCIe or intra-FPGA, checked at boot); a same-node
+// destination node's engine — the same route in every mode, so results
+// are mode-invariant (MigrateCost covers the governing crossing, PCIe or
+// intra-FPGA, checked at boot); a same-node
 // hop just charges the context-switch cost.
 func (t *Thread) maybeMigrate(p *sim.Process) {
 	if t.kern.cfg.NUMA || len(t.affinity) == 1 || p.Now() < t.nextMigr {
@@ -471,9 +471,8 @@ func (c *Ctx) MMIOStore(addr uint64, size int, v uint64) {
 // waiters register with the home and the last arriver posts a release
 // there, both as cross-shard messages, so every queue mutation executes on
 // the home node's engine in the network's canonical delivery order. That
-// makes the queue deterministic and shard-safe by construction — whatever
-// the granularity, no other shard ever touches it from its own execution
-// context. A register that reaches the home after its round's release
+// makes the queue deterministic and shard-safe by construction — no other
+// shard ever touches it from its own execution context. A register that reaches the home after its round's release
 // (possible when fault-injected link delays reorder arrivals) is woken
 // immediately via the released-round watermark.
 type Barrier struct {

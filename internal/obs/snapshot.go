@@ -118,8 +118,7 @@ func buildPrototypeView(sn *Snapshot, p *core.Prototype) {
 	if p.Group != nil {
 		// Merge the shard registries into a scratch registry (CopyFrom only
 		// reads its sources) and snapshot per-shard views alongside. The
-		// registries come in shard order, whatever the granularity — one
-		// per FPGA, or one per node under per-node sharding.
+		// registries come in shard order, one per FPGA.
 		regs := p.ShardRegistries()
 		var merged sim.Stats
 		merged.CopyFrom(regs...)

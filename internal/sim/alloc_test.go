@@ -230,7 +230,7 @@ func TestAfterCancelZeroAlloc(t *testing.T) {
 // (AtFront + Step) must not allocate per envelope.
 func TestGroupHandoffZeroAlloc(t *testing.T) {
 	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(61, e0, e1)
+	g := NewGroup(61, nil, e0, e1)
 	fn := func() {}
 	drain := func() {
 		for e0.Step() {
@@ -261,7 +261,7 @@ func TestGroupHandoffZeroAlloc(t *testing.T) {
 // must still amortize to zero allocations per window.
 func TestGroupHandoffBurstZeroAlloc(t *testing.T) {
 	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(61, e0, e1)
+	g := NewGroup(61, nil, e0, e1)
 	fn := func() {}
 	window := func() {
 		at := e1.Now() + 100

@@ -286,10 +286,10 @@ func (n *SerialNet) SetMinLatency(lat Time) {
 // SetMinLatencyFunc arms a per-edge-class model-latency floor: class
 // returns the minimum latency a send on the (src, dst) edge must respect —
 // e.g. the intra-FPGA interconnect crossing for co-located nodes and the
-// (much larger) PCIe crossing for nodes on different FPGAs. With
-// granularity-aware floors the serial reference panics on an undercutting
-// intra-FPGA send exactly like a per-node sharded run would, not only on
-// PCIe-class sends. A nil or zero class result leaves that edge unguarded.
+// (much larger) PCIe crossing for nodes on different FPGAs. With per-edge
+// floors the serial reference panics on an undercutting intra-FPGA send
+// exactly like a sharded run's Group does, not only on PCIe-class sends.
+// A nil or zero class result leaves that edge unguarded.
 func (n *SerialNet) SetMinLatencyFunc(class func(src, dst int) Time) {
 	n.minLat = class
 }

@@ -95,8 +95,9 @@ func runFuzzScenario(sc *fuzzScenario, la Time, engs []*Engine, net CrossNet, dr
 
 // FuzzEnvelopeMergeOrder is the determinism fuzz harness: for arbitrary
 // shard counts, send/deliver times and adaptive caps, the serial reference,
-// the fixed-window group and the adaptively-widened group must produce the
-// identical delivery streams, and every same-(destination, cycle) collision
+// the fixed-window group and the adaptively-widened group — with one engine
+// per endpoint and with adjacent endpoints sharing an engine — must produce
+// the identical delivery streams, and every same-(destination, cycle) collision
 // must apply in the canonical (deliver, send, src, seq) order.
 func FuzzEnvelopeMergeOrder(f *testing.F) {
 	// Seeds: minimal, two-shard ping-pong, a collision-heavy burst, four
@@ -107,10 +108,9 @@ func FuzzEnvelopeMergeOrder(f *testing.F) {
 	f.Add([]byte("\x02\x03" + "AB\x00\x07" + "BA\x00\x07" + "CA\x00\x07" + "AC\x01\x07"))
 	f.Add([]byte("\x02\x04ABxyBCloCDhiDAjkACmnBDqr"))
 	f.Add([]byte("\x01\x02" + "AB\x3c\x00" + "BA\x01\x3c" + "AB\x02\x3c" + "BA\x3c\x01" + "AB\x10\x10" + "BA\x20\x20"))
-	// Four shards, cluster-local ping-pong in both adjacent pairs plus
-	// cross-pair traffic: under the hierarchical leg the pairs become
-	// multi-engine clusters, so this drives the inner-window merge and the
-	// inner/outer boundary at once.
+	// Four shards, ping-pong inside both adjacent pairs plus cross-pair
+	// traffic: under the co-located leg each pair shares an engine, so this
+	// drives same-engine spool inserts and window merges at once.
 	f.Add([]byte("\x02\x01" + "\x00\x01\x05\x00" + "\x01\x00\x05\x00" + "\x02\x03\x05\x00" + "\x03\x02\x05\x00" + "\x00\x02\x00\x07" + "\x02\x00\x00\x07"))
 
 	const la = Time(61)
@@ -135,7 +135,7 @@ func FuzzEnvelopeMergeOrder(f *testing.F) {
 			for i := range engs {
 				engs[i] = NewEngine()
 			}
-			g := NewGroup(la, engs...)
+			g := NewGroup(la, nil, engs...)
 			g.SetAdaptive(cap)
 			gotLogs, gotEnd := runFuzzScenario(sc, la, engs, g, g.Run)
 			if gotEnd != wantEnd {
@@ -151,37 +151,28 @@ func FuzzEnvelopeMergeOrder(f *testing.F) {
 			}
 		}
 
-		// Hierarchical group over the same endpoints: adjacent shards pair
-		// into clusters synchronized at a short inner crossing nested inside
-		// the outer windows. Every op's latency clears the outer lookahead,
-		// so the same scenario is legal at both levels — and the nested
-		// merge (inner flushes tiling outer chunks) must reproduce the
-		// serial delivery stream exactly, fixed and adaptive.
+		// Co-located endpoints: adjacent endpoints share one engine, the way
+		// the nodes of one FPGA share its shard. Sends inside a pair bypass
+		// the windows (straight into the engine's spool) while sends across
+		// pairs ride them, and both must reproduce the serial stream.
 		for _, cap := range []int{1, sc.cap} {
 			engs := make([]*Engine, sc.shards)
-			for i := range engs {
-				engs[i] = NewEngine()
-			}
-			clusters := make([][]*Engine, 0, (sc.shards+1)/2)
+			pairs := make([]*Engine, (sc.shards+1)/2)
 			epEngine := make([]int, sc.shards)
-			for i := 0; i < sc.shards; i += 2 {
-				hi := i + 2
-				if hi > sc.shards {
-					hi = sc.shards
-				}
-				clusters = append(clusters, engs[i:hi])
-				for j := i; j < hi; j++ {
-					epEngine[j] = j
-				}
+			for i := range pairs {
+				pairs[i] = NewEngine()
 			}
-			g := NewHierGroup(la, 7, clusters, epEngine)
+			for j := range engs {
+				engs[j], epEngine[j] = pairs[j/2], j/2
+			}
+			g := NewGroup(la, epEngine, pairs...)
 			g.SetAdaptive(cap)
 			gotLogs, gotEnd := runFuzzScenario(sc, la, engs, g, g.Run)
 			if gotEnd != wantEnd {
-				t.Fatalf("hier cap %d: final time %d, serial %d", cap, gotEnd, wantEnd)
+				t.Fatalf("paired cap %d: final time %d, serial %d", cap, gotEnd, wantEnd)
 			}
 			if !reflect.DeepEqual(gotLogs, wantLogs) {
-				t.Fatalf("hier cap %d: delivery streams diverge from serial:\nserial:  %v\nsharded: %v", cap, wantLogs, gotLogs)
+				t.Fatalf("paired cap %d: delivery streams diverge from serial:\nserial:  %v\nsharded: %v", cap, wantLogs, gotLogs)
 			}
 		}
 

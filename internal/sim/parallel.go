@@ -1,6 +1,6 @@
 // Sharded parallel execution: a Group runs several Engines on goroutines
 // under a conservative bounded-lag synchronizer. The PCIe fabric's one-way
-// latency is the outer lookahead L: no FPGA can affect another sooner than
+// latency is the lookahead L: no FPGA can affect another sooner than
 // L cycles out, so between barriers every shard may safely execute all of
 // its events in the window [T, T+L) without seeing the others. At each
 // barrier the shards' outboxes are merged and injected in the canonical
@@ -33,28 +33,13 @@
 // pure function of the (deterministic) simulation, so replay reproduces it,
 // and WindowDigest fingerprints it so a checkpoint cursor can prove it did.
 //
-// # Hierarchical windows (sub-FPGA sharding)
+// # Endpoints and engines
 //
-// The intra-FPGA interconnect couples co-located nodes far more tightly
-// than PCIe couples FPGAs: its crossing is a few cycles, not sixty. Running
-// one engine per *node* under the flat scheme would therefore force the
-// whole system to the tiny lookahead. Instead the Group supports two
-// levels (NewHierGroup): engines are grouped into clusters (one per FPGA),
-// and within each outer chunk of L cycles, each multi-engine cluster runs
-// its own sequence of *inner* windows at the inner lookahead l — planned,
-// chunked, adaptively widened and barriered exactly like the outer level,
-// but entirely inside the cluster. Inner windows always tile outer chunks:
-// an inner window never crosses the enclosing outer chunk boundary (its
-// horizon is clamped to it), so the outer safety argument is untouched.
-// The per-chunk argument then holds at both radii: a cross-cluster
-// envelope sent inside outer chunk [c, c+L) delivers at >= c+L (outer
-// barrier injection), and an intra-cluster envelope sent inside inner
-// chunk [b, b+l) delivers at >= b+l (drained into the member's spool at
-// the next inner barrier). A truncated final inner chunk [b, e) with
-// e <= b+l is safe for the same reason: everything it sends delivers at
-// >= b+l >= e. Same-engine sends bypass the window machinery entirely —
-// they go straight into the owning engine's delivery spool, which applies
-// the identical canonical per-(endpoint, cycle) order in every mode.
+// CrossNet endpoints are node ids, and one shard engine hosts every node of
+// its FPGA. Sends between co-located nodes therefore never leave their
+// engine: they go straight into the owning engine's delivery spool, which
+// applies the identical canonical per-(endpoint, cycle) order in every mode,
+// and only cross-engine envelopes ride the window machinery above.
 package sim
 
 import (
@@ -68,14 +53,11 @@ import (
 // window at a few thousand cycles with the PCIe-calibrated L — long enough
 // to amortize barriers across a local compute phase, short enough that the
 // group still reaches quiescent points (checkpoints, watchdog checks,
-// dashboard snapshots) at a useful cadence. Inner windows use the same cap
-// in units of the inner lookahead; their width is additionally clamped by
-// the enclosing outer chunk.
+// dashboard snapshots) at a useful cadence.
 const DefaultAdaptiveCap = 64
 
-// Group executes a set of Engines — one per shard — in bounded-lag windows,
-// optionally nested two levels deep (see NewHierGroup). Construct with
-// NewGroup or NewHierGroup; it implements CrossNet for cross-shard sends.
+// Group executes a set of Engines — one per shard — in bounded-lag windows.
+// Construct with NewGroup; it implements CrossNet for cross-shard sends.
 //
 // Threading contract: during a window each engine runs on its own worker
 // goroutine and must only touch state owned by its shard; Send(src, ...)
@@ -84,26 +66,22 @@ const DefaultAdaptiveCap = 64
 // quiescent and the caller's goroutine may inspect any shard freely — the
 // window barrier provides the happens-before edge.
 type Group struct {
-	lookahead Time // outer: minimum cross-cluster (PCIe) crossing
-	innerLA   Time // inner: minimum intra-cluster cross-engine crossing
+	lookahead Time // minimum cross-engine (PCIe) crossing
 	engines   []*Engine
-	clusters  [][]int // engine indices per cluster (all singletons when flat)
-	engCl     []int   // engine index -> cluster index
-	epEng     []int   // endpoint id -> engine index
+	epEng     []int // endpoint id -> engine index
 	seqs      []uint64
 	spools    []*spool                // per-engine canonical delivery spool
 	minLat    func(src, dst int) Time // optional per-edge model floor
 	// outbox is the batched envelope hand-off: one preallocated slice per
 	// (src, dst) engine pair at index src*engines+dst. During a window row
 	// src is owned by engine src's goroutine (Send appends, nothing else
-	// touches it); intra-cluster rows drain at the cluster's inner barriers
-	// and cross-cluster rows at the outer window barrier, each merging into
-	// the destination engine's spool. Slices are reused window to window, so
-	// a warmed-up group hands envelopes off without allocating.
+	// touches it); at the window barrier the coordinator merges every row
+	// into its destination engine's spool. Slices are reused window to
+	// window, so a warmed-up group hands envelopes off without allocating.
 	outbox  [][]netEntry
 	horizon Time  // current window's exclusive upper bound
 	running bool  // inside a window (workers active)
-	active  []int // active-cluster scratch, reused window to window
+	active  []int // participant scratch, reused window to window
 
 	// Adaptive-lookahead state. width is the next window's width in units
 	// of lookahead; maxWidth caps the geometric widening (1 = fixed
@@ -115,21 +93,16 @@ type Group struct {
 	chunksRan int
 	bar       winBarrier
 
-	// cl holds each cluster's inner synchronizer (meaningful only for
-	// clusters with more than one engine).
-	cl []clusterState
-
 	// Synchronizer telemetry, maintained unconditionally (a few integer
-	// bumps per window). envOut[i] is written only by engine i's goroutine
-	// during a window; envIn[i] is written by engine i's own sends, its
-	// cluster's inner-barrier drains and the quiescent coordinator —
-	// contexts the barriers already order. Everything else is
-	// coordinator-owned and touched only while the group is quiescent.
+	// bumps per window). envOut[i] and the same-engine share of envIn[i] are
+	// written only by engine i's goroutine during a window; everything else
+	// is coordinator-owned and touched only while the group is quiescent —
+	// the window barrier provides the happens-before edges.
 	windows    uint64   // completed synchronization windows
 	chunks     uint64   // completed window chunks (windows in units of L)
 	widenings  uint64   // windows after which the width grew
 	collapses  uint64   // windows after which the width snapped back to 1
-	digest     uint64   // FNV-1a over the (start, width) outer window sequence
+	digest     uint64   // FNV-1a over the (start, width) window sequence
 	ranWindows []uint64 // windows in which engine i actually executed work
 	envIn      []uint64 // envelopes merged toward engine i
 	envOut     []uint64 // envelopes sent by engine i
@@ -146,26 +119,6 @@ type Group struct {
 	OnBarrier func()
 }
 
-// clusterState is one cluster's inner window machinery: a private chunk
-// barrier plus the same plan/adapt/digest state the outer level keeps, in
-// units of the inner lookahead. All fields are touched only under the
-// cluster's barrier lock (or while the group is quiescent).
-type clusterState struct {
-	engines  []int
-	bar      winBarrier
-	width    int // next inner window width, in units of innerLA
-	maxWidth int
-	winStart Time // current inner window start
-	winEnd   Time // current inner window's exclusive clamp (tiles the outer chunk)
-
-	windows   uint64
-	chunks    uint64
-	widenings uint64
-	collapses uint64
-	chunksRan int
-	digest    uint64 // FNV-1a over the (start, chunks) inner window sequence
-}
-
 // shardSyncStats is the per-shard registry binding of the synchronizer
 // telemetry (see EnableSyncStats).
 type shardSyncStats struct {
@@ -178,14 +131,6 @@ type shardSyncStats struct {
 	horizon   *Gauge
 	width     *Gauge
 	lag       *Gauge
-
-	// Inner-group instruments, bound only on the first engine of a
-	// multi-engine cluster.
-	innerWindows   *Counter
-	innerChunks    *Counter
-	innerWidenings *Counter
-	innerCollapses *Counter
-	innerWidth     *Gauge
 }
 
 // fnvOffset/fnvPrime are the FNV-1a constants for the window-sequence
@@ -206,96 +151,61 @@ func fnvFold(h, v uint64) uint64 {
 	return h
 }
 
-// NewGroup builds a flat synchronizer over the given shard engines, with
-// one endpoint per engine. lookahead is the minimum cross-shard latency in
-// cycles; it must be positive, and every Send must honor it. Windows start
-// fixed at the lookahead; call SetAdaptive to let them widen when
-// cross-shard traffic is sparse.
-func NewGroup(lookahead Time, engines ...*Engine) *Group {
-	clusters := make([][]*Engine, len(engines))
-	for i, e := range engines {
-		clusters[i] = []*Engine{e}
+// NewGroup builds the synchronizer over the given shard engines. lookahead
+// is the minimum cross-engine latency in cycles; it must be positive, and
+// every cross-engine Send must honor it. epEngine maps each CrossNet
+// endpoint id to the index of the engine that owns it; nil gives one
+// endpoint per engine. Windows start fixed at the lookahead; call
+// SetAdaptive to let them widen when cross-shard traffic is sparse.
+func NewGroup(lookahead Time, epEngine []int, engines ...*Engine) *Group {
+	if lookahead == 0 {
+		panic("sim: parallel group needs a positive lookahead")
 	}
-	epEngine := make([]int, len(engines))
-	for i := range epEngine {
-		epEngine[i] = i
+	n := len(engines)
+	if n == 0 {
+		panic("sim: parallel group needs at least one engine")
 	}
-	return NewHierGroup(lookahead, lookahead, clusters, epEngine)
-}
-
-// NewHierGroup builds a two-level synchronizer: engines grouped into
-// clusters (one per FPGA), cross-cluster sends honoring the outer
-// lookahead and cross-engine sends within one cluster honoring the inner
-// lookahead, with endpoint ids mapped onto engines by epEngine. Both
-// lookaheads must be positive and inner must not exceed outer. Clusters of
-// one engine skip the inner machinery entirely, so a hierarchical group
-// whose clusters are all singletons behaves exactly like a flat one.
-func NewHierGroup(outer, inner Time, clusters [][]*Engine, epEngine []int) *Group {
-	if outer == 0 || inner == 0 {
-		panic("sim: parallel group needs positive lookaheads")
-	}
-	if inner > outer {
-		panic(fmt.Sprintf("sim: inner lookahead %d exceeds outer lookahead %d", inner, outer))
-	}
-	if len(clusters) == 0 {
-		panic("sim: parallel group needs at least one cluster")
-	}
-	g := &Group{
-		lookahead: outer,
-		innerLA:   inner,
-		width:     1,
-		maxWidth:  1,
-		digest:    fnvOffset,
-		cl:        make([]clusterState, len(clusters)),
-	}
-	for ci, members := range clusters {
-		if len(members) == 0 {
-			panic("sim: parallel group cluster with no engines")
+	if epEngine == nil {
+		epEngine = make([]int, n)
+		for i := range epEngine {
+			epEngine[i] = i
 		}
-		cs := &g.cl[ci]
-		cs.width = 1
-		cs.maxWidth = 1
-		cs.digest = fnvOffset
-		var idx []int
-		for _, e := range members {
-			idx = append(idx, len(g.engines))
-			g.engCl = append(g.engCl, ci)
-			g.engines = append(g.engines, e)
-		}
-		cs.engines = idx
-		g.clusters = append(g.clusters, idx)
 	}
 	if len(epEngine) == 0 {
 		panic("sim: parallel group needs at least one endpoint")
 	}
 	for _, ei := range epEngine {
-		if ei < 0 || ei >= len(g.engines) {
-			panic(fmt.Sprintf("sim: endpoint mapped to engine %d outside group of %d engines", ei, len(g.engines)))
+		if ei < 0 || ei >= n {
+			panic(fmt.Sprintf("sim: endpoint mapped to engine %d outside group of %d engines", ei, n))
 		}
 	}
-	g.epEng = append([]int(nil), epEngine...)
-	n := len(g.engines)
-	g.seqs = make([]uint64, len(g.epEng))
-	g.outbox = make([][]netEntry, n*n)
-	g.spools = make([]*spool, n)
-	for i, e := range g.engines {
+	g := &Group{
+		lookahead:  lookahead,
+		engines:    append([]*Engine(nil), engines...),
+		epEng:      append([]int(nil), epEngine...),
+		seqs:       make([]uint64, len(epEngine)),
+		spools:     make([]*spool, n),
+		outbox:     make([][]netEntry, n*n),
+		width:      1,
+		maxWidth:   1,
+		digest:     fnvOffset,
+		ranWindows: make([]uint64, n),
+		envIn:      make([]uint64, n),
+		envOut:     make([]uint64, n),
+	}
+	for i, e := range engines {
 		g.spools[i] = newSpool(e)
 	}
-	g.ranWindows = make([]uint64, n)
-	g.envIn = make([]uint64, n)
-	g.envOut = make([]uint64, n)
 	return g
 }
 
 // SetAdaptive sets the adaptive-lookahead cap: the maximum window width as a
-// multiple of the lookahead, applied at both levels (outer windows in units
-// of the outer lookahead, inner windows in units of the inner one — inner
-// widths are additionally clamped by the enclosing outer chunk). 1 keeps
-// fixed windows; larger caps let windows double geometrically while no
-// cross-shard envelope appears and collapse back to 1 the window traffic
-// returns. Must be called while the group is quiescent. The cap is part of
-// the window-sequence identity a replay checkpoint records, so a restore
-// must use the same value (core.Replay verifies it).
+// multiple of the lookahead. 1 keeps fixed windows; larger caps let windows
+// double geometrically while no cross-shard envelope appears and collapse
+// back to 1 the window traffic returns. Must be called while the group is
+// quiescent. The cap is part of the window-sequence identity a replay
+// checkpoint records, so a restore must use the same value (core.Replay
+// verifies it).
 func (g *Group) SetAdaptive(cap int) {
 	if cap < 1 {
 		panic(fmt.Sprintf("sim: adaptive lookahead cap %d; need >= 1", cap))
@@ -304,48 +214,32 @@ func (g *Group) SetAdaptive(cap int) {
 	if g.width > cap {
 		g.width = cap
 	}
-	for ci := range g.cl {
-		cs := &g.cl[ci]
-		cs.maxWidth = cap
-		if cs.width > cap {
-			cs.width = cap
-		}
-	}
 }
 
 // SetMinLatencyFunc arms an additional per-edge model-latency floor on top
-// of the topology bounds the group always enforces (inner lookahead for
-// intra-cluster cross-engine sends, outer lookahead for cross-cluster
-// sends): a send undercutting class(src, dst) panics even when its
-// endpoints share an engine, mirroring SerialNet.SetMinLatencyFunc so both
-// modes police the same contract.
+// of the lookahead the group always enforces for cross-engine sends: a send
+// undercutting class(src, dst) panics even when its endpoints share an
+// engine, mirroring SerialNet.SetMinLatencyFunc so both modes police the
+// same contract.
 func (g *Group) SetMinLatencyFunc(class func(src, dst int) Time) {
 	g.minLat = class
 }
 
 // EnableSyncStats registers the synchronizer's telemetry as instruments in
 // the given per-shard registries (regs[i] belongs to engine i) under the
-// "fpga<i>.sync." prefix — "node<i>.sync." when the group is hierarchical
-// (sub-FPGA sharding, where a shard is a node). Mirrored per engine:
-// windows and chunks executed, envelopes merged in and sent out,
-// widening/collapse counts, the current window horizon and width, and the
-// engine's lag behind that horizon. Each multi-engine cluster additionally
-// binds its inner-window counters ("...sync.inner_windows" etc.) on its
-// first engine's registry. Values are refreshed at every window barrier.
-// Note that a report folding these registries will then differ from a
-// serial run's (a serial engine has no windows), so the feature is opt-in —
-// see core.Config.SyncMetrics.
+// "fpga<i>.sync." prefix. Mirrored per engine: windows and chunks executed,
+// envelopes merged in and sent out, widening/collapse counts, the current
+// window horizon and width, and the engine's lag behind that horizon.
+// Values are refreshed at every window barrier. Note that a report folding
+// these registries will then differ from a serial run's (a serial engine
+// has no windows), so the feature is opt-in — see core.Config.SyncMetrics.
 func (g *Group) EnableSyncStats(regs []*Stats) {
 	if len(regs) != len(g.engines) {
 		panic(fmt.Sprintf("sim: EnableSyncStats got %d registries for %d shards", len(regs), len(g.engines)))
 	}
-	kind := "fpga"
-	if g.Hierarchical() {
-		kind = "node"
-	}
 	g.syncStats = make([]shardSyncStats, len(regs))
 	for i, s := range regs {
-		prefix := fmt.Sprintf("%s%d.sync.", kind, i)
+		prefix := fmt.Sprintf("fpga%d.sync.", i)
 		g.syncStats[i] = shardSyncStats{
 			windows:   s.Counter(prefix + "windows"),
 			chunks:    s.Counter(prefix + "chunks"),
@@ -357,20 +251,6 @@ func (g *Group) EnableSyncStats(regs []*Stats) {
 			width:     s.Gauge(prefix + "width"),
 			lag:       s.Gauge(prefix + "lag"),
 		}
-	}
-	for ci, members := range g.clusters {
-		if len(members) < 2 {
-			continue
-		}
-		ss := &g.syncStats[members[0]]
-		s := regs[members[0]]
-		prefix := fmt.Sprintf("%s%d.sync.", kind, members[0])
-		_ = ci
-		ss.innerWindows = s.Counter(prefix + "inner_windows")
-		ss.innerChunks = s.Counter(prefix + "inner_chunks")
-		ss.innerWidenings = s.Counter(prefix + "inner_widenings")
-		ss.innerCollapses = s.Counter(prefix + "inner_collapses")
-		ss.innerWidth = s.Gauge(prefix + "inner_width")
 	}
 }
 
@@ -393,14 +273,6 @@ func (g *Group) flushSyncStats() {
 			lag = int64(g.horizon - 1 - le)
 		}
 		ss.lag.Set(lag)
-		if ss.innerWindows != nil {
-			cs := &g.cl[g.engCl[i]]
-			ss.innerWindows.Value = cs.windows
-			ss.innerChunks.Value = cs.chunks
-			ss.innerWidenings.Value = cs.widenings
-			ss.innerCollapses.Value = cs.collapses
-			ss.innerWidth.Set(int64(cs.width))
-		}
 	}
 }
 
@@ -415,23 +287,8 @@ type ShardSync struct {
 	Lag       Time   `json:"lag"`     // cycles behind the window horizon
 }
 
-// InnerSync is one cluster's inner-window synchronizer state (sub-FPGA
-// sharding), captured at an outer barrier.
-type InnerSync struct {
-	Cluster   int    `json:"cluster"`
-	Engines   int    `json:"engines"`
-	Lookahead Time   `json:"lookahead"` // inner lookahead in cycles
-	Windows   uint64 `json:"windows"`   // completed inner windows
-	Chunks    uint64 `json:"chunks"`    // completed inner chunks (units of the inner lookahead)
-	Width     int    `json:"width"`     // next inner window's width
-	WidthCap  int    `json:"width_cap"`
-	Widenings uint64 `json:"widenings"`
-	Collapses uint64 `json:"collapses"`
-}
-
 // GroupSync is the synchronizer's state, captured at a barrier: window and
-// chunk totals, the adaptive-width machinery, per-shard occupancy, and —
-// under sub-FPGA sharding — each cluster's inner-window state.
+// chunk totals, the adaptive-width machinery and per-shard occupancy.
 type GroupSync struct {
 	Windows   uint64      `json:"windows"`   // completed synchronization windows
 	Chunks    uint64      `json:"chunks"`    // completed chunks (windows in units of L)
@@ -442,7 +299,6 @@ type GroupSync struct {
 	Widenings uint64      `json:"widenings"` // windows after which the width grew
 	Collapses uint64      `json:"collapses"` // windows that snapped the width back
 	Shards    []ShardSync `json:"shards"`
-	Inner     []InnerSync `json:"inner,omitempty"` // per multi-engine cluster
 }
 
 // SyncSnapshot captures the synchronizer's state: window/chunk totals, the
@@ -477,23 +333,6 @@ func (g *Group) SyncSnapshot() GroupSync {
 			Lag:       lag,
 		}
 	}
-	for ci := range g.cl {
-		cs := &g.cl[ci]
-		if len(cs.engines) < 2 {
-			continue
-		}
-		sn.Inner = append(sn.Inner, InnerSync{
-			Cluster:   ci,
-			Engines:   len(cs.engines),
-			Lookahead: g.innerLA,
-			Windows:   cs.windows,
-			Chunks:    cs.chunks,
-			Width:     cs.width,
-			WidthCap:  cs.maxWidth,
-			Widenings: cs.widenings,
-			Collapses: cs.collapses,
-		})
-	}
 	return sn
 }
 
@@ -511,59 +350,28 @@ func (g *Group) Windows() uint64 { return g.windows }
 func (g *Group) Chunks() uint64 { return g.chunks }
 
 // WindowDigest returns the running FNV-1a fingerprint of the window
-// sequence: every completed outer window folds in its start time and the
-// width it actually reached, and — under sub-FPGA sharding — each
-// cluster's inner window sequence folds its own digest on top, in cluster
-// order. Two runs that stepped the same windows at the same widths at both
-// levels — what a replay cursor promises — have equal digests.
-func (g *Group) WindowDigest() uint64 {
-	h := g.digest
-	for ci := range g.cl {
-		if len(g.cl[ci].engines) > 1 {
-			h = fnvFold(h, g.cl[ci].digest)
-		}
-	}
-	return h
-}
+// sequence: every completed window folds in its start time and the width it
+// actually reached. Two runs that stepped the same windows at the same
+// widths — what a replay cursor promises — have equal digests.
+func (g *Group) WindowDigest() uint64 { return g.digest }
 
 // Shards returns the number of shard engines.
 func (g *Group) Shards() int { return len(g.engines) }
 
-// Clusters returns the number of engine clusters (FPGAs). Equal to
-// Shards() for a flat group.
-func (g *Group) Clusters() int { return len(g.clusters) }
-
-// Hierarchical reports whether any cluster holds more than one engine —
-// i.e. whether the inner window machinery is in play.
-func (g *Group) Hierarchical() bool {
-	for _, members := range g.clusters {
-		if len(members) > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // Engine returns shard i's engine.
 func (g *Group) Engine(i int) *Engine { return g.engines[i] }
 
-// Lookahead returns the minimum outer synchronization window length in
-// cycles.
+// Lookahead returns the minimum synchronization window length in cycles.
 func (g *Group) Lookahead() Time { return g.lookahead }
-
-// InnerLookahead returns the minimum inner (intra-cluster) window length in
-// cycles; equal to Lookahead for a flat group.
-func (g *Group) InnerLookahead() Time { return g.innerLA }
 
 // WidthCap returns the adaptive widening cap (1 = fixed windows).
 func (g *Group) WidthCap() int { return g.maxWidth }
 
 // Send implements CrossNet. Same-engine sends go straight into the owning
 // engine's delivery spool; cross-engine sends park in the (src, dst)
-// engine outbox for the next inner (same cluster) or outer (cross-cluster)
-// barrier merge. Must be called from the goroutine of the engine owning
+// engine outbox for the next barrier merge. Must be called from the goroutine of the engine owning
 // endpoint src (or from the coordinator while the group is quiescent). A
-// delivery closer than the governing lookahead to the sender's clock would
+// cross-engine delivery closer than the lookahead to the sender's clock would
 // mean the model's cross-shard latency undercuts the synchronizer — a
 // wiring bug — and panics. (Deliveries inside the current window's horizon
 // are fine under adaptive widening: the chunk discipline ends the window
@@ -578,9 +386,6 @@ func (g *Group) Send(src, dst int, deliverAt Time, fn func()) {
 		var min Time
 		if se != de {
 			min = g.lookahead
-			if g.engCl[se] == g.engCl[de] {
-				min = g.innerLA
-			}
 		}
 		if g.minLat != nil {
 			if m := g.minLat(src, dst); m > min {
@@ -629,52 +434,11 @@ func (g *Group) inject() {
 	}
 }
 
-// drainIntraCluster merges the cluster's internal outbox rows into its
-// member spools. It runs under the cluster's inner barrier lock with every
-// member parked, which orders the spool insertions against member
-// execution on both sides.
-func (g *Group) drainIntraCluster(ci int) {
-	n := len(g.engines)
-	members := g.cl[ci].engines
-	for _, de := range members {
-		sp := g.spools[de]
-		for _, se := range members {
-			if se == de {
-				continue
-			}
-			box := &g.outbox[se*n+de]
-			for j := range *box {
-				g.envIn[de]++
-				sp.insert((*box)[j])
-				(*box)[j] = netEntry{}
-			}
-			*box = (*box)[:0]
-		}
-	}
-}
-
 // pendingEnvelopes reports whether any outbox holds an undelivered envelope.
-// At outer barriers only cross-cluster rows can be non-empty: every cluster
-// leaves its outer chunk through an inner drain.
 func (g *Group) pendingEnvelopes() bool {
 	for i := range g.outbox {
 		if len(g.outbox[i]) > 0 {
 			return true
-		}
-	}
-	return false
-}
-
-// pendingIntraCluster reports whether the cluster's internal rows hold an
-// undelivered envelope.
-func (g *Group) pendingIntraCluster(ci int) bool {
-	n := len(g.engines)
-	members := g.cl[ci].engines
-	for _, se := range members {
-		for _, de := range members {
-			if se != de && len(g.outbox[se*n+de]) > 0 {
-				return true
-			}
 		}
 	}
 	return false
@@ -738,10 +502,10 @@ func (b *winBarrier) arrive(over func() bool) (cont bool) {
 	return !stop
 }
 
-// windowOver is the outer chunk-boundary decision, made by the last barrier
+// windowOver is the chunk-boundary decision, made by the last barrier
 // arriver after chunk k (1-based) of a window starting at start with the
 // given planned width. The window ends when it reaches its planned width,
-// when any outbox parked a cross-cluster envelope (its delivery lands at or
+// when any outbox parked a cross-shard envelope (its delivery lands at or
 // beyond the next chunk boundary, so stopping here is exactly a
 // fixed-window barrier), or when no shard has work left before the planned
 // horizon (the remaining chunks would all be empty). Reading other shards'
@@ -764,114 +528,12 @@ func (g *Group) windowOver(start Time, k, planned int) bool {
 	return true
 }
 
-// innerSetup plans a cluster's next inner window inside the outer chunk
-// ending (exclusively) at chunkEnd. It runs under the cluster's barrier
-// lock: first it drains the cluster's internal envelopes (their flush
-// events then count as member work), then it looks for the earliest member
-// event before the chunk boundary. It returns true — "stop" — when the
-// cluster has nothing left to do in this outer chunk.
-func (g *Group) innerSetup(ci int, chunkEnd Time) bool {
-	g.drainIntraCluster(ci)
-	cs := &g.cl[ci]
-	var t Time
-	found := false
-	for _, ei := range cs.engines {
-		if next, ok := g.engines[ei].NextEventTime(); ok && next < chunkEnd && (!found || next < t) {
-			t, found = next, true
-		}
-	}
-	if !found {
-		return true
-	}
-	cs.winStart = t
-	end := t + Time(cs.width)*g.innerLA
-	if end > chunkEnd {
-		end = chunkEnd
-	}
-	cs.winEnd = end
-	return false
-}
-
-// innerOver is the inner chunk-boundary decision after inner chunk k
-// (1-based) of the cluster's current window: over when the window reached
-// its clamp, parked intra-cluster traffic, or ran out of member work. When
-// the window ends it also closes the books — chunk count, digest fold and
-// the inner width adaptation — still under the barrier lock.
-func (g *Group) innerOver(ci, k int) bool {
-	cs := &g.cl[ci]
-	cs.chunksRan = k
-	over := true
-	switch {
-	case cs.winStart+Time(k)*g.innerLA >= cs.winEnd:
-	case g.pendingIntraCluster(ci):
-	default:
-		over = false
-		for _, ei := range cs.engines {
-			if t, ok := g.engines[ei].NextEventTime(); ok && t < cs.winEnd {
-				break
-			}
-			if ei == cs.engines[len(cs.engines)-1] {
-				over = true
-			}
-		}
-	}
-	if !over {
-		return false
-	}
-	cs.windows++
-	cs.chunks += uint64(k)
-	cs.digest = fnvFold(fnvFold(cs.digest, uint64(cs.winStart)), uint64(k))
-	if g.pendingIntraCluster(ci) {
-		if cs.width > 1 {
-			cs.collapses++
-		}
-		cs.width = 1
-	} else if cs.width < cs.maxWidth {
-		cs.width *= 2
-		if cs.width > cs.maxWidth {
-			cs.width = cs.maxWidth
-		}
-		cs.widenings++
-	}
-	return true
-}
-
-// runClusterChunk executes one member engine's share of a single outer
-// chunk ending (exclusively) at chunkEnd. Singleton clusters run straight
-// through; multi-engine clusters alternate setup phases (drain + plan) and
-// inner chunk loops at the cluster barrier until the cluster is idle up to
-// the chunk boundary. Inner windows tile the outer chunk: their horizon
-// never crosses chunkEnd.
-func (g *Group) runClusterChunk(ci int, e *Engine, chunkEnd Time) {
-	cs := &g.cl[ci]
-	if len(cs.engines) == 1 {
-		e.runTo(chunkEnd - 1)
-		return
-	}
-	for {
-		if !cs.bar.arrive(func() bool { return g.innerSetup(ci, chunkEnd) }) {
-			return
-		}
-		for k := 1; ; k++ {
-			end := cs.winStart + Time(k)*g.innerLA
-			if end > cs.winEnd {
-				end = cs.winEnd
-			}
-			e.runTo(end - 1)
-			if !cs.bar.arrive(func() bool { return g.innerOver(ci, k) }) {
-				break
-			}
-		}
-	}
-}
-
-// runEngineWindow is one participant engine's outer window: execute chunk
-// after chunk of L cycles (each possibly expanded into inner windows by its
-// cluster), meeting the other participants at the outer chunk barrier,
+// runEngineWindow is one participant engine's window: execute chunk after
+// chunk of L cycles, meeting the other participants at the chunk barrier,
 // until the last arriver calls the window over.
-func (g *Group) runEngineWindow(ci int, e *Engine, start Time, planned int) {
+func (g *Group) runEngineWindow(e *Engine, start Time, planned int) {
 	for k := 1; ; k++ {
-		g.runClusterChunk(ci, e, start+Time(k)*g.lookahead)
+		e.runTo(start + Time(k)*g.lookahead - 1)
 		if !g.bar.arrive(func() bool { return g.windowOver(start, k, planned) }) {
 			return
 		}
@@ -879,10 +541,9 @@ func (g *Group) runEngineWindow(ci int, e *Engine, start Time, planned int) {
 }
 
 // StepWindow runs one synchronization window: injects pending envelopes,
-// finds the global next event time T, and lets every cluster with work
-// before the horizon execute it concurrently — chunk by chunk under the
-// adaptive width, each multi-engine cluster running its own inner windows
-// inside each chunk. Returns false when no work remains anywhere.
+// finds the global next event time T, and lets every shard with work before
+// the horizon execute it concurrently — chunk by chunk under the adaptive
+// width. Returns false when no work remains anywhere.
 func (g *Group) StepWindow() bool {
 	g.inject()
 	t, ok := g.minNext()
@@ -892,65 +553,47 @@ func (g *Group) StepWindow() bool {
 	planned := g.width
 	g.horizon = t + Time(planned)*g.lookahead
 	g.active = g.active[:0]
-	parties := 0
-	for ci, members := range g.clusters {
-		act := false
-		for _, ei := range members {
-			if next, ok := g.engines[ei].NextEventTime(); ok && next < g.horizon {
-				g.ranWindows[ei]++
-				act = true
-			}
-		}
-		if act {
-			g.active = append(g.active, ci)
-			parties += len(members)
+	for i, e := range g.engines {
+		if next, ok := e.NextEventTime(); ok && next < g.horizon {
+			g.ranWindows[i]++
+			g.active = append(g.active, i)
 		}
 	}
 	g.running = true
 	g.chunksRan = planned
-	for _, ci := range g.active {
-		if len(g.clusters[ci]) > 1 {
-			g.cl[ci].bar.reset(len(g.clusters[ci]))
-		}
-	}
 	switch {
-	case planned == 1 && parties == 1:
-		// Fixed-width window with a single busy singleton cluster: run
-		// inline, no goroutine, no barrier.
-		g.engines[g.clusters[g.active[0]][0]].runTo(g.horizon - 1)
+	case planned == 1 && len(g.active) == 1:
+		// Fixed-width window with a single busy shard: run inline, no
+		// goroutine, no barrier.
+		g.engines[g.active[0]].runTo(g.horizon - 1)
 	case planned == 1:
-		// Fixed-width window: the outer chunk loop degenerates to one chunk
-		// per cluster, so skip the outer chunk barrier entirely (the inner
-		// machinery still runs inside the chunk).
+		// Fixed-width window: the chunk loop degenerates to one runTo per
+		// shard, so skip the chunk barrier entirely.
 		var wg sync.WaitGroup
-		for _, ci := range g.active {
-			for _, ei := range g.clusters[ci] {
-				wg.Add(1)
-				go func(ci int, e *Engine) {
-					defer wg.Done()
-					g.runClusterChunk(ci, e, g.horizon)
-				}(ci, g.engines[ei])
-			}
+		for _, i := range g.active {
+			wg.Add(1)
+			go func(e *Engine) {
+				defer wg.Done()
+				e.runTo(g.horizon - 1)
+			}(g.engines[i])
 		}
 		wg.Wait()
-	case parties == 1:
-		// Widened window, one busy singleton cluster: run the chunk loop
-		// inline. The barrier with one party never blocks, but the chunk
-		// decisions still run — the shard's own sends must end the window at
-		// the correct boundary.
+	case len(g.active) == 1:
+		// Widened window, one busy shard: run the chunk loop inline. The
+		// barrier with one party never blocks, but the chunk decisions
+		// still run — the shard's own sends must end the window at the
+		// correct boundary.
 		g.bar.reset(1)
-		g.runEngineWindow(g.active[0], g.engines[g.clusters[g.active[0]][0]], t, planned)
+		g.runEngineWindow(g.engines[g.active[0]], t, planned)
 	default:
-		g.bar.reset(parties)
+		g.bar.reset(len(g.active))
 		var wg sync.WaitGroup
-		for _, ci := range g.active {
-			for _, ei := range g.clusters[ci] {
-				wg.Add(1)
-				go func(ci int, e *Engine) {
-					defer wg.Done()
-					g.runEngineWindow(ci, e, t, planned)
-				}(ci, g.engines[ei])
-			}
+		for _, i := range g.active {
+			wg.Add(1)
+			go func(e *Engine) {
+				defer wg.Done()
+				g.runEngineWindow(e, t, planned)
+			}(g.engines[i])
 		}
 		wg.Wait()
 	}

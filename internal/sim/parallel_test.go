@@ -118,7 +118,7 @@ func TestGroupMatchesSerialNet(t *testing.T) {
 
 	sharded := &crossModel{la: la, log: make([][]string, 2)}
 	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(la, e0, e1)
+	g := NewGroup(la, nil, e0, e1)
 	sharded.engs = []*Engine{e0, e1}
 	sharded.net = g
 	sharded.start(rounds)
@@ -137,144 +137,37 @@ func TestGroupMatchesSerialNet(t *testing.T) {
 	}
 }
 
-// hierModel extends the cross-shard model to two latency classes: four
-// endpoints in two clusters of two, where intra-cluster sends pay the inner
-// crossing and cross-cluster sends pay the outer one. Each endpoint ticks
-// locally and alternates a near (cluster-mate) and a far (other cluster)
-// send, so inner windows, outer chunks and both merge paths all carry
-// traffic.
-type hierModel struct {
-	log   [][]string
-	engs  []*Engine
-	net   CrossNet
-	outer Time
-	inner Time
-}
-
-func (m *hierModel) record(shard int, t Time, label string) {
-	m.log[shard] = append(m.log[shard], fmt.Sprintf("@%d:%s", t, label))
-}
-
-func (m *hierModel) start(rounds int) {
-	for s := range m.engs {
-		s := s
-		e := m.engs[s]
-		var tick func(i int)
-		tick = func(i int) {
-			m.record(s, e.Now(), fmt.Sprintf("tick%d", i))
-			if i >= rounds {
-				return
-			}
-			// Even rounds reach the cluster-mate at the inner latency; odd
-			// rounds cross clusters at the outer one. Delivery cycles are
-			// aligned so sends from several sources collide.
-			var dst int
-			var lat Time
-			if i%2 == 0 {
-				dst, lat = s^1, m.inner
-			} else {
-				dst, lat = (s+2)%len(m.engs), m.outer
-			}
-			at := (e.Now()/lat+2)*lat + 3
-			m.net.Send(s, dst, at, func() {
-				m.record(dst, m.engs[dst].Now(), fmt.Sprintf("recv%d-from%d", i, s))
-				m.engs[dst].Schedule(1, func() {
-					m.record(dst, m.engs[dst].Now(), fmt.Sprintf("follow%d-from%d", i, s))
-				})
-			})
-			e.Schedule(m.inner+Time(s), func() { tick(i + 1) })
+// TestGroupColocatedUndercutPanics checks the per-edge floor on endpoints
+// that share an engine (the nodes of one FPGA): such a send skips the
+// window machinery, so only SetMinLatencyFunc guards it. A send at exactly
+// the floor — far below the lookahead — is legal; one cycle less panics.
+func TestGroupColocatedUndercutPanics(t *testing.T) {
+	const la, floor = Time(61), Time(7)
+	engs := []*Engine{NewEngine(), NewEngine()}
+	g := NewGroup(la, []int{0, 0, 1, 1}, engs...)
+	g.SetMinLatencyFunc(func(src, dst int) Time {
+		if src/2 == dst/2 {
+			return floor
 		}
-		e.Schedule(Time(s+1), func() { tick(0) })
-	}
-}
-
-// TestHierGroupMatchesSerialNet drives the two-latency model through the
-// hierarchical synchronizer (two clusters of two engines, inner windows
-// nested in outer chunks) and the serial reference, and requires identical
-// logs, final times and clock alignment — for fixed windows and a spread of
-// adaptive caps. This is the unit-level equivalence proof for per-node
-// sharding; in particular a multi-engine cluster must actually execute its
-// members inside each chunk (a protocol inversion here livelocks, which the
-// test surfaces as a timeout).
-func TestHierGroupMatchesSerialNet(t *testing.T) {
-	const outer, inner = Time(61), Time(7)
-	const rounds = 12
-
-	serial := &hierModel{outer: outer, inner: inner, log: make([][]string, 4)}
-	se := NewEngine()
-	serial.engs = []*Engine{se, se, se, se}
-	serial.net = NewSerialNet(se)
-	serial.start(rounds)
-	serialEnd := se.Run()
-
-	for _, cap := range []int{1, 4, DefaultAdaptiveCap} {
-		t.Run(fmt.Sprintf("cap%d", cap), func(t *testing.T) {
-			sharded := &hierModel{outer: outer, inner: inner, log: make([][]string, 4)}
-			engs := make([]*Engine, 4)
-			for i := range engs {
-				engs[i] = NewEngine()
-			}
-			g := NewHierGroup(outer, inner,
-				[][]*Engine{{engs[0], engs[1]}, {engs[2], engs[3]}},
-				[]int{0, 1, 2, 3})
-			g.SetAdaptive(cap)
-			sharded.engs = engs
-			sharded.net = g
-			sharded.start(rounds)
-			shardedEnd := g.Run()
-
-			for s := range serial.log {
-				if !reflect.DeepEqual(serial.log[s], sharded.log[s]) {
-					t.Fatalf("shard %d logs diverge:\nserial:  %v\nsharded: %v", s, serial.log[s], sharded.log[s])
-				}
-			}
-			if serialEnd != shardedEnd {
-				t.Fatalf("final time diverges: serial %d, sharded %d", serialEnd, shardedEnd)
-			}
-			for i, e := range engs {
-				if e.Now() != shardedEnd {
-					t.Fatalf("engine %d clock %d not aligned to %d", i, e.Now(), shardedEnd)
-				}
-			}
-			sn := g.SyncSnapshot()
-			if len(sn.Inner) != 2 {
-				t.Fatalf("got %d inner views, want 2", len(sn.Inner))
-			}
-			for ci, iv := range sn.Inner {
-				if iv.Windows == 0 {
-					t.Errorf("cluster %d ran no inner windows", ci)
-				}
-			}
-		})
-	}
-}
-
-// TestHierGroupInnerUndercutPanics checks the nested lookahead contract: an
-// intra-cluster send below the inner crossing must panic, while one at
-// exactly the inner bound — far below the outer lookahead — is legal.
-func TestHierGroupInnerUndercutPanics(t *testing.T) {
-	const outer, inner = Time(61), Time(7)
-	engs := []*Engine{NewEngine(), NewEngine(), NewEngine(), NewEngine()}
-	g := NewHierGroup(outer, inner,
-		[][]*Engine{{engs[0], engs[1]}, {engs[2], engs[3]}},
-		[]int{0, 1, 2, 3})
+		return la
+	})
 	ok := false
 	panicked := false
 	engs[0].Schedule(5, func() {
-		g.Send(0, 1, engs[0].Now()+inner, func() { ok = true }) // inner bound: fine
+		g.Send(0, 1, engs[0].Now()+floor, func() { ok = true })
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
-		g.Send(0, 1, engs[0].Now()+inner-1, func() {})
+		g.Send(0, 1, engs[0].Now()+floor-1, func() {})
 	})
 	g.Run()
 	if !ok {
-		t.Fatal("legal intra-cluster send was not delivered")
+		t.Fatal("legal co-located send was not delivered")
 	}
 	if !panicked {
-		t.Fatal("intra-cluster send below the inner crossing did not panic")
+		t.Fatal("co-located send below its floor did not panic")
 	}
 }
 
@@ -292,7 +185,7 @@ func TestGroupSingleShardMatchesSerial(t *testing.T) {
 	wantLog, wantEnd := run(se, se.Run)
 
 	pe := NewEngine()
-	g := NewGroup(61, pe)
+	g := NewGroup(61, nil, pe)
 	gotLog, gotEnd := run(pe, g.Run)
 	_ = gotLog
 	if wantEnd != gotEnd {
@@ -308,7 +201,7 @@ func TestGroupSingleShardMatchesSerial(t *testing.T) {
 // reordered.
 func TestGroupSendInsideWindowPanics(t *testing.T) {
 	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(61, e0, e1)
+	g := NewGroup(61, nil, e0, e1)
 	panicked := false
 	e0.Schedule(5, func() {
 		defer func() {
@@ -327,7 +220,7 @@ func TestGroupSendInsideWindowPanics(t *testing.T) {
 // TestGroupSendOutOfRangePanics checks that host-side traffic (shard -1)
 // cannot sneak through the cross-shard network.
 func TestGroupSendOutOfRangePanics(t *testing.T) {
-	g := NewGroup(61, NewEngine(), NewEngine())
+	g := NewGroup(61, nil, NewEngine(), NewEngine())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range send did not panic")
@@ -368,7 +261,7 @@ func TestGroupSyncTelemetry(t *testing.T) {
 	const la = Time(61)
 	m := &crossModel{la: la, log: make([][]string, 2)}
 	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(la, e0, e1)
+	g := NewGroup(la, nil, e0, e1)
 	m.engs = []*Engine{e0, e1}
 	m.net = g
 	m.start(8)
@@ -430,7 +323,7 @@ func TestGroupEnableSyncStats(t *testing.T) {
 	const la = Time(61)
 	m := &crossModel{la: la, log: make([][]string, 2)}
 	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(la, e0, e1)
+	g := NewGroup(la, nil, e0, e1)
 	m.engs = []*Engine{e0, e1}
 	m.net = g
 	regs := []*Stats{{}, {}}
@@ -464,7 +357,7 @@ func TestGroupEnableSyncStats(t *testing.T) {
 				t.Error("EnableSyncStats with wrong registry count did not panic")
 			}
 		}()
-		NewGroup(la, NewEngine(), NewEngine()).EnableSyncStats([]*Stats{{}})
+		NewGroup(la, nil, NewEngine(), NewEngine()).EnableSyncStats([]*Stats{{}})
 	}()
 }
 
@@ -487,7 +380,7 @@ func TestGroupAdaptiveMatchesSerialNet(t *testing.T) {
 		t.Run(fmt.Sprintf("cap%d", cap), func(t *testing.T) {
 			sharded := &crossModel{la: la, log: make([][]string, 2)}
 			e0, e1 := NewEngine(), NewEngine()
-			g := NewGroup(la, e0, e1)
+			g := NewGroup(la, nil, e0, e1)
 			g.SetAdaptive(cap)
 			sharded.engs = []*Engine{e0, e1}
 			sharded.net = g
@@ -513,7 +406,7 @@ func TestGroupAdaptiveMatchesSerialNet(t *testing.T) {
 func TestAdaptiveCollapse(t *testing.T) {
 	const la = Time(10)
 	e0, e1 := NewEngine(), NewEngine()
-	g := NewGroup(la, e0, e1)
+	g := NewGroup(la, nil, e0, e1)
 	g.SetAdaptive(8)
 
 	// Both shards tick densely so every chunk has local work; one send from
@@ -588,7 +481,7 @@ func TestWindowDigestDeterminism(t *testing.T) {
 	// from fixed windows: dense local ticks on both shards, one mid-run send.
 	run := func(cap int) (uint64, uint64, uint64) {
 		e0, e1 := NewEngine(), NewEngine()
-		g := NewGroup(10, e0, e1)
+		g := NewGroup(10, nil, e0, e1)
 		g.SetAdaptive(cap)
 		for s, e := range []*Engine{e0, e1} {
 			e := e

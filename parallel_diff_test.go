@@ -29,14 +29,13 @@ type diffOutcome struct {
 
 // diffCase is one row of the differential table.
 type diffCase struct {
-	name        string
-	a, b, c     int    // shape
-	workload    string // is | irregular | noise | riscv
-	numa        bool
-	faults      string
-	seed        uint64
-	adaptive    int    // AdaptiveLookahead for the sharded run (0 = default cap)
-	granularity string // ShardGranularity for the sharded run ("" = per-FPGA)
+	name     string
+	a, b, c  int    // shape
+	workload string // is | irregular | noise | riscv
+	numa     bool
+	faults   string
+	seed     uint64
+	adaptive int // AdaptiveLookahead for the sharded run (0 = default cap)
 }
 
 // buildProto builds one prototype for a case in the requested mode.
@@ -45,7 +44,6 @@ func buildProto(t *testing.T, dc diffCase, parallel int) *core.Prototype {
 	cfg := smappic.DefaultConfig(dc.a, dc.b, dc.c)
 	cfg.Parallel = parallel
 	cfg.AdaptiveLookahead = dc.adaptive
-	cfg.ShardGranularity = dc.granularity
 	cfg.Seed = dc.seed
 	if dc.workload != "riscv" {
 		cfg.Core = core.CoreNone
@@ -199,42 +197,31 @@ func diffCases() []diffCase {
 // TestShardedMatchesSerial is the differential table: sharded == serial,
 // byte for byte, across node counts, workloads, fault plans and seeds —
 // and for every row, both with fixed windows (AdaptiveLookahead 1) and
-// under the default adaptive widening cap, at per-FPGA shard granularity
-// and (for multi-node FPGAs) at per-node granularity under the
-// hierarchical synchronizer. Adaptive widening and shard granularity are
-// execution scheduling only, so every sharded variant must reproduce the
-// one serial outcome — which also pins per-node byte-identical to
-// per-FPGA, transitively.
+// under the default adaptive widening cap. Adaptive widening is execution
+// scheduling only, so every sharded variant must reproduce the one serial
+// outcome.
 func TestShardedMatchesSerial(t *testing.T) {
 	for _, dc := range diffCases() {
 		dc := dc
 		t.Run(dc.name, func(t *testing.T) {
 			t.Parallel()
 			serial := runCase(t, dc, 0)
-			grans := []string{"fpga"}
-			if dc.b > 1 {
-				grans = append(grans, "node")
-			}
 			for _, mode := range []struct {
 				name     string
 				adaptive int
 			}{{"fixed", 1}, {"adaptive", 0}} {
-				for _, gran := range grans {
-					label := mode.name + "/" + gran
-					dc := dc
-					dc.adaptive = mode.adaptive
-					dc.granularity = gran
-					sharded := runCase(t, dc, dc.a)
-					if serial.cycles != sharded.cycles {
-						t.Errorf("%s: final time: serial %d, sharded %d", label, serial.cycles, sharded.cycles)
-					}
-					if serial.checksum != sharded.checksum {
-						t.Errorf("%s: checksum: serial %#x, sharded %#x", label, serial.checksum, sharded.checksum)
-					}
-					if !bytes.Equal(serial.metrics, sharded.metrics) {
-						t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
-							label, len(serial.metrics), len(sharded.metrics), firstDiff(serial.metrics, sharded.metrics))
-					}
+				dc := dc
+				dc.adaptive = mode.adaptive
+				sharded := runCase(t, dc, dc.a)
+				if serial.cycles != sharded.cycles {
+					t.Errorf("%s: final time: serial %d, sharded %d", mode.name, serial.cycles, sharded.cycles)
+				}
+				if serial.checksum != sharded.checksum {
+					t.Errorf("%s: checksum: serial %#x, sharded %#x", mode.name, serial.checksum, sharded.checksum)
+				}
+				if !bytes.Equal(serial.metrics, sharded.metrics) {
+					t.Errorf("%s: MetricsJSON diverges (%d vs %d bytes):\n%s",
+						mode.name, len(serial.metrics), len(sharded.metrics), firstDiff(serial.metrics, sharded.metrics))
 				}
 			}
 		})

@@ -30,11 +30,11 @@ const gateMinSpeedup = 1.5
 const gateRuns = 3
 
 // gateMeasure times one mode of an NPB-IS fixture, best of gateRuns.
-func gateMeasure(t *testing.T, fpgas, nodes, tiles, parallel, adaptive int, granularity string) (best time.Duration, cycles int64) {
+func gateMeasure(t *testing.T, fpgas, nodes, tiles, parallel, adaptive int) (best time.Duration, cycles int64) {
 	t.Helper()
 	for r := 0; r < gateRuns; r++ {
 		start := time.Now()
-		c := benchIS(t, fpgas, nodes, tiles, parallel, adaptive, granularity)
+		c := benchIS(t, fpgas, nodes, tiles, parallel, adaptive)
 		d := time.Since(start)
 		if r == 0 || d < best {
 			best = d
@@ -57,9 +57,9 @@ func TestParallelScalingGate(t *testing.T) {
 			"run it on a multi-core host (the parallel-scaling CI job does)", ncpu)
 	}
 
-	serial, serialCycles := gateMeasure(t, 4, 2, 2, 0, 0, "")
-	adaptive, parCycles := gateMeasure(t, 4, 2, 2, 4, 0, "")
-	fixed, _ := gateMeasure(t, 4, 2, 2, 4, 1, "")
+	serial, serialCycles := gateMeasure(t, 4, 2, 2, 0, 0)
+	adaptive, parCycles := gateMeasure(t, 4, 2, 2, 4, 0)
+	fixed, _ := gateMeasure(t, 4, 2, 2, 4, 1)
 
 	if parCycles != serialCycles {
 		t.Fatalf("sharded run simulated %d cycles, serial %d: the modes are not comparable",
@@ -81,42 +81,5 @@ func TestParallelScalingGate(t *testing.T) {
 		t.Errorf("8-node NPB-IS adaptive sharded speedup %.2fx < %.1fx gate "+
 			"(serial %v, parallel %v on %d CPUs)",
 			speedup, gateMinSpeedup, serial, adaptive, runtime.NumCPU())
-	}
-}
-
-// TestNodeShardingGate is the sub-FPGA counterpart: on the 48-core NUMA
-// shape (2x2x12) only two FPGAs exist, so per-FPGA sharding leaves half of
-// a 4-vCPU runner idle — per-node sharding exposes all four node engines
-// and must beat per-FPGA wall-clock outright. Like the scaling gate it is
-// opt-in (SMAPPIC_SCALING_GATE=1 on a >=4-vCPU host), best-of-3 per mode,
-// and it cross-checks that both granularities simulated the identical
-// cycle count before comparing clocks.
-func TestNodeShardingGate(t *testing.T) {
-	if os.Getenv("SMAPPIC_SCALING_GATE") != "1" {
-		t.Skip("set SMAPPIC_SCALING_GATE=1 to run the multi-core node-sharding gate")
-	}
-	if ncpu := runtime.NumCPU(); ncpu < 4 {
-		t.Fatalf("node-sharding gate requires >=4 CPUs, host has %d; "+
-			"run it on a multi-core host (the parallel-scaling CI job does)", ncpu)
-	}
-
-	perFPGA, fpgaCycles := gateMeasure(t, 2, 2, 12, 2, 0, "fpga")
-	perNode, nodeCycles := gateMeasure(t, 2, 2, 12, 2, 0, "node")
-
-	if nodeCycles != fpgaCycles {
-		t.Fatalf("per-node run simulated %d cycles, per-FPGA %d: the granularities are not comparable",
-			nodeCycles, fpgaCycles)
-	}
-
-	speedup := perFPGA.Seconds() / perNode.Seconds()
-	t.Logf("BENCH_PARALLEL fragment: %s", fmt.Sprintf(
-		`{"fixture": "npb-is-48core-2x2x12", "gomaxprocs": %d, "parallel_fpga_ms": %.1f, "parallel_node_ms": %.1f, "node_vs_fpga": %.2f, "sim_cycles": %d}`,
-		runtime.GOMAXPROCS(0), float64(perFPGA.Microseconds())/1000,
-		float64(perNode.Microseconds())/1000, speedup, fpgaCycles))
-
-	if speedup < 1.0 {
-		t.Errorf("48-core NPB-IS per-node sharding is slower than per-FPGA: %.2fx "+
-			"(per-FPGA %v, per-node %v on %d CPUs)",
-			speedup, perFPGA, perNode, runtime.NumCPU())
 	}
 }

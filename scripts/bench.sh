@@ -31,10 +31,8 @@ COUNT=${COUNT:-1}
 # and print a trajectory entry in the BENCH_PARALLEL.json shape, ready to
 # append to its "trajectory" array. The parallel-scaling CI job uses this to
 # record the multi-core scaling point from the run the gate was enforced on.
-# Columns: serial, per-FPGA adaptive ("parallel"), per-FPGA fixed-window
-# ("parallel_fixed") and per-node hierarchical ("parallel_node") — the
-# node_vs_fpga ratio is the sub-FPGA sharding win (>1 means per-node is
-# faster; expect <1 on hosts with fewer cores than node engines).
+# Columns: serial, per-FPGA adaptive ("parallel") and per-FPGA fixed-window
+# ("parallel_fixed").
 if [ "${1:-}" = "--parallel-json" ]; then
     RAW=${2:-}
     if [ -z "$RAW" ]; then
@@ -63,10 +61,9 @@ if [ "${1:-}" = "--parallel-json" ]; then
             for (s in shapes) order[++n] = s
             for (i = 1; i <= n; i++) {
                 s = order[i]
-                printf "    \"%s\": {\"serial_ns_op\": %d, \"parallel_ns_op\": %d, \"parallel_fixed_ns_op\": %d, \"parallel_node_ns_op\": %d, \"speedup\": %.2f, \"fixed_speedup\": %.2f, \"node_speedup\": %.2f, \"node_vs_fpga\": %.2f, \"sim_cycles\": %d}%s\n", \
-                    (s in label ? label[s] : s), ns[s, "serial"], ns[s, "parallel"], ns[s, "parallel-fixed"], ns[s, "parallel-node"], \
-                    ns[s, "serial"] / ns[s, "parallel"], ns[s, "serial"] / ns[s, "parallel-fixed"], \
-                    ns[s, "serial"] / ns[s, "parallel-node"], ns[s, "parallel"] / ns[s, "parallel-node"], cyc[s], (i < n ? "," : "")
+                printf "    \"%s\": {\"serial_ns_op\": %d, \"parallel_ns_op\": %d, \"parallel_fixed_ns_op\": %d, \"speedup\": %.2f, \"fixed_speedup\": %.2f, \"sim_cycles\": %d}%s\n", \
+                    (s in label ? label[s] : s), ns[s, "serial"], ns[s, "parallel"], ns[s, "parallel-fixed"], \
+                    ns[s, "serial"] / ns[s, "parallel"], ns[s, "serial"] / ns[s, "parallel-fixed"], cyc[s], (i < n ? "," : "")
             }
             printf "  }\n}\n"
         }' "$RAW"
